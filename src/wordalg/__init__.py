@@ -7,12 +7,12 @@ all with exact arithmetic.
 
 from .words import (
     Alphabet,
+    FactorIndex,
     Morphism,
     MorphicStream,
     PeriodicStream,
     PrefixStream,
     analyze_morphism,
-    factors,
     fixed_point_prefix,
     incidence_matrix,
     is_cube_free,

@@ -128,16 +128,10 @@ def _cmd_free(args) -> tuple[int, str]:
     view = _make_view(args)
     if not args.gens:
         raise ValueError("--gens is required: semicolon-separated polynomial literals")
-    gens = []
-    for literal in args.gens.split(";"):
-        decoded = []
-        compact = "".join(literal.split())
-        for term in compact.split("+"):
-            if "*" not in term:
-                raise ValueError(f"bad term {term!r}")
-            coeff, word = term.split("*", 1)
-            decoded.append(f"{coeff}*{_decode_primed(word)}")
-        gens.append(monalg.parse_poly_literal(view, " + ".join(decoded)))
+    gens = [
+        monalg.parse_poly_literal(view, _decode_primed("".join(literal.split())))
+        for literal in args.gens.split(";")
+    ]
     report = monalg.freeness_check(view, gens, args.Lfree)
     return (0 if report.independent else 1), emit_report(report.to_record())
 

@@ -109,35 +109,6 @@ def universal_difference_sequence(count: int) -> UniversalSequence:
     return seq
 
 
-class FixedDifferenceSequence:
-    """Exploratory alternative cut sequence n_i = i * difference.
-
-    Not universal: its difference runs realize only one sequence.  Offered for
-    comparison runs; no freeness claim is attached to it.
-    """
-
-    def __init__(self, difference: int = 1):
-        if difference < 1:
-            raise ValueError("difference must be positive")
-        self.difference = difference
-        self.order_tag = f"constant-{difference}"
-
-    def ensure_terms(self, count: int):
-        pass
-
-    def ensure_value(self, v: int):
-        pass
-
-    def value(self, i: int) -> int:
-        return i * self.difference
-
-    def values(self, count: int) -> tuple[int, ...]:
-        return tuple(i * self.difference for i in range(count + 1))
-
-    def difference_at(self, t: int) -> int:
-        return self.difference
-
-
 def locate_pattern(seq: UniversalSequence, pattern, parity: int | None = None) -> int:
     """Smallest m with pattern equal to the differences at positions m+1..m+len.
 
@@ -192,7 +163,7 @@ def unprime(word: str, mapping: dict[str, str]) -> str:
 @dataclass(eq=False)
 class InterleaveSpec:
     base: PrefixStream
-    sequence: UniversalSequence | FixedDifferenceSequence
+    sequence: UniversalSequence
 
     def __post_init__(self):
         self.alphabet, self.mapping = primed_alphabet(self.base.alphabet)
@@ -281,7 +252,6 @@ def construction_pipeline(
     horizon: int = 1_000_000,
     free_pattern_length: int = 5,
     d_max: int = 6,
-    sequence: UniversalSequence | FixedDifferenceSequence | None = None,
 ) -> PipelineReport:
     """Certify the base word, build the interleaved word, scan it for growing
     arithmetic progressions, and test freeness of the two mixed generators."""
@@ -291,7 +261,7 @@ def construction_pipeline(
     certificate = certify_graded_nilpotence(m, BASE_START, BASE_WEIGHTS)
 
     base_stream = MorphicStream(m, BASE_START)
-    spec = InterleaveSpec(base_stream, sequence or UniversalSequence())
+    spec = InterleaveSpec(base_stream, UniversalSequence())
     tilde = InterleaveStream(spec)
 
     # weights on the doubled alphabet: primed companions inherit the base weight

@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .words import FactorSet, PrefixStream, SuffixAutomaton, is_cube_free
+from .words import FactorIndex, PrefixStream, SuffixAutomaton, is_cube_free
 
 
 class HorizonWarning(UserWarning):
@@ -45,8 +45,6 @@ class WordFactorView(AlgebraView):
     "unseen within horizon" is weaker than "not a factor of the infinite word".
     """
 
-    _SET_CACHE_MAX = 16
-
     def __init__(self, stream: PrefixStream, horizon: int):
         if horizon < 1:
             raise ValueError("horizon must be positive")
@@ -55,30 +53,16 @@ class WordFactorView(AlgebraView):
         self.letters = stream.alphabet.letters
         self.unseen: set[str] = set()
         self._warned = False
-        self._text: str | None = None
-        self._by_length: dict[int, frozenset[str]] = {}
+        self._index: FactorIndex | None = None
         self._automaton: SuffixAutomaton | None = None
 
-    def _prefix(self) -> str:
-        if self._text is None:
-            self._text = self.stream.prefix(self.horizon)
-        return self._text
-
-    def _length_set(self, k: int) -> frozenset[str]:
-        cached = self._by_length.get(k)
-        if cached is None:
-            text = self._prefix()
-            cached = frozenset(text[i : i + k] for i in range(len(text) - k + 1))
-            self._by_length[k] = cached
-        return cached
+    def factor_index(self) -> FactorIndex:
+        if self._index is None:
+            self._index = FactorIndex(self.stream.prefix(self.horizon), self.letters)
+        return self._index
 
     def is_zero_monomial(self, word: str) -> bool:
-        if word == "":
-            return False
-        if len(word) <= self._SET_CACHE_MAX:
-            zero = word not in self._length_set(len(word))
-        else:
-            zero = self._prefix().find(word) < 0
+        zero = word not in self.factor_index()
         if zero and word not in self.unseen:
             self.unseen.add(word)
             if not self._warned:
@@ -93,7 +77,7 @@ class WordFactorView(AlgebraView):
 
     def automaton(self) -> SuffixAutomaton:
         if self._automaton is None:
-            self._automaton = SuffixAutomaton(self._prefix())
+            self._automaton = SuffixAutomaton(self.factor_index().text)
         return self._automaton
 
     def factor_count(self, length: int) -> int:
@@ -134,17 +118,6 @@ class FreeView(AlgebraView):
 
     def is_zero_monomial(self, word: str) -> bool:
         return False
-
-
-def view_from_factor_set(fs: FactorSet, letters) -> ForbiddenPatternView:
-    """Factor view frozen to an already-materialized factor set (lengths <= fs.ell)."""
-
-    def forbids(word: str) -> bool:
-        if len(word) > fs.ell:
-            return True
-        return word not in fs.factors
-
-    return ForbiddenPatternView(tuple(letters), forbids, f"not a stored factor (ell={fs.ell})")
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +214,6 @@ class NcPolynomial:
     def _check_view(self, other):
         if not isinstance(other, NcPolynomial) or other.view is not self.view:
             raise ValueError("operands must share the same algebra view")
-
-
-def reduce(p: NcPolynomial) -> NcPolynomial:
-    """Drop zero monomials; idempotent and linear."""
-    return NcPolynomial(p.view, p.coeffs)
-
-
-def multiply(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
-    return p * q
 
 
 def substitute(view: AlgebraView, pattern: str, assignment: dict[str, NcPolynomial]) -> NcPolynomial:

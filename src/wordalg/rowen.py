@@ -5,7 +5,7 @@ Thue-Morse bits, the other their complements.  A word in the generators is
 supported on a single superdiagonal whose entries are products of bits, so a
 word evaluates to zero exactly when the corresponding letter pattern never
 occurs in the Thue-Morse word.  All arithmetic is exact integer arithmetic
-(int64 with an overflow guard).
+(int64, with every operation checked against an exact bound on its result).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from math import lcm
 import numpy as np
 
 from .monalg import NcPolynomial
-from .words import MorphicStream, PrefixStream, SuffixAutomaton, make_morphism
+from .words import FactorIndex, MorphicStream, PrefixStream, SuffixAutomaton, make_morphism
 
 DEFAULT_MARGIN = 64
 
@@ -81,33 +81,43 @@ def tm_word_stream() -> MorphicStream:
 # banded matrices
 
 
-_GUARD = 2**31
+_INT64_LIMIT = 2**63
+
+
+def _check_bound(bound: int, what: str):
+    """Raise unless every entry of a result is bounded in magnitude by ``bound`` < 2^63."""
+    if bound >= _INT64_LIMIT:
+        raise OverflowError(f"band matrix {what} could exceed int64")
 
 
 class BandMatrix:
     """Square integer matrix supported on upper diagonals.
 
     ``diags`` maps offset k >= 0 to the vector of entries (i, i+k) for
-    i = 1..size-k.  Entries are exact int64; multiplication asserts operands
-    stay below 2^31 so products cannot overflow.
+    i = 1..size-k.  Entries are exact int64: sums, scalings and products raise
+    OverflowError unless a bound on each result entry stays below 2^63.
     """
 
-    __slots__ = ("size", "diags")
+    __slots__ = ("size", "diags", "_max_abs")
 
     def __init__(self, size: int, diags):
         if size < 1:
             raise ValueError("size must be positive")
         store: dict[int, np.ndarray] = {}
+        max_abs = 0
         for k, vec in diags.items():
             if not 0 <= k < size:
                 raise ValueError(f"diagonal offset {k} out of range for size {size}")
             arr = np.asarray(vec, dtype=np.int64)
             if arr.shape != (size - k,):
                 raise ValueError(f"diagonal {k} must have length {size - k}")
-            if arr.any():
+            hi, lo = int(arr.max()), int(arr.min())
+            if hi or lo:
                 store[k] = arr
+                max_abs = max(max_abs, hi, -lo)
         self.size = size
         self.diags = store
+        self._max_abs = max_abs
 
     @classmethod
     def zero(cls, size: int) -> "BandMatrix":
@@ -143,9 +153,7 @@ class BandMatrix:
         return int(sum(np.count_nonzero(v) for v in self.diags.values()))
 
     def max_abs(self) -> int:
-        if not self.diags:
-            return 0
-        return int(max(np.abs(v).max() for v in self.diags.values()))
+        return self._max_abs
 
     def __eq__(self, other):
         if not isinstance(other, BandMatrix) or self.size != other.size:
@@ -155,6 +163,7 @@ class BandMatrix:
 
     def __add__(self, other):
         self._check(other)
+        _check_bound(self.max_abs() + other.max_abs(), "sum")
         out = {}
         for k in set(self.diags) | set(other.diags):
             out[k] = self.diagonal(k) + other.diagonal(k)
@@ -163,14 +172,16 @@ class BandMatrix:
     def scaled(self, c: int) -> "BandMatrix":
         if c == 0:
             return BandMatrix.zero(self.size)
+        _check_bound(self.max_abs() * abs(int(c)), "scaling")
         return BandMatrix(self.size, {k: v * int(c) for k, v in self.diags.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scaled(other)
         self._check(other)
-        if self.max_abs() >= _GUARD or other.max_abs() >= _GUARD:
-            raise OverflowError("band matrix entries exceed the exactness guard")
+        # an entry of diagonal k sums one product per pair k1 + k2 = k
+        terms = min(len(self.diags), len(other.diags))
+        _check_bound(self.max_abs() * other.max_abs() * terms, "product")
         out: dict[int, np.ndarray] = {}
         n = self.size
         for k1, d1 in self.diags.items():
@@ -306,10 +317,7 @@ def correspondence_scan(
         raise MarginTooSmallError(f"need truncation > {max_len + margin}")
     bits = _TM.bits(n - 1)
     letter_vecs = {"y": bits, "x": 1 - bits}
-    text = _TM.word_prefix(horizon)
-    factor_sets = [
-        {text[i : i + k] for i in range(len(text) - k + 1)} for k in range(max_len + 1)
-    ]
+    index = FactorIndex(_TM.word_prefix(horizon), WORD_LETTERS)
     checked = 0
     mismatches = []
     stack = [("", np.ones(n - 1, dtype=np.int64))]
@@ -322,7 +330,7 @@ def correspondence_scan(
             cvec = vec[: n - length - 1] * letter_vecs[ch][length : n - 1]
             zero = not cvec.any()
             checked += 1
-            if zero != (child not in factor_sets[length + 1]):
+            if zero != (child not in index):
                 mismatches.append(child)
             if length + 1 < max_len:
                 stack.append((child, cvec))

@@ -3,7 +3,7 @@
 Finite words are plain Python strings; every letter of an alphabet is a
 single character.  All matrix and counting arithmetic in this module is
 exact integer arithmetic (numpy is used only for 0/1 masks in the cube
-scanner).
+scanner and for the packed window codes of ``FactorIndex``).
 """
 
 from __future__ import annotations
@@ -132,13 +132,6 @@ def _mat_mul(a, b):
 
 def mat_vec(a, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
-
-
-def mat_power_vec(a, v, n):
-    """a^n applied to v, by repeated multiplication (exact)."""
-    for _ in range(n):
-        v = mat_vec(a, v)
-    return v
 
 
 def exact_det(matrix) -> int:
@@ -336,54 +329,74 @@ class PeriodicStream(PrefixStream):
 
 
 # ---------------------------------------------------------------------------
-# factor sets and factor statistics
+# the short factors of a fixed prefix
 
 
-@dataclass(frozen=True, eq=False)
-class FactorSet:
-    """All factors of length <= ell seen in a fixed prefix (always includes the
-    empty word, so the set is closed under taking subwords)."""
+class FactorIndex:
+    """The distinct factors of a fixed text over ``letters``, by length.
 
-    ell: int
-    horizon: int
-    factors: frozenset[str]
-    stabilized: bool | None = None
+    Letters are coded as uint8 positions in ``letters``.  Each length-k window
+    is packed into one unsigned integer in base max(|A|, 2), which is exact
+    while that base to the k is below 2^63 (``packed_limit``: 62, 31 and 18
+    for 2, 4 and 10 letters); the windows are sorted in place and the distinct
+    ones are decoded once into a cached ``frozenset``.  Longer words are
+    answered by substring search.  Absence only means "not seen in this text".
+    """
+
+    def __init__(self, text: str, letters):
+        letters = tuple(letters)
+        if not 1 <= len(letters) <= 255:
+            raise ValueError("a factor index needs between 1 and 255 letters")
+        self.text = text
+        self.letters = letters
+        self._base = max(len(letters), 2)
+        limit = 0
+        while self._base ** (limit + 1) < 2**63:
+            limit += 1
+        self.packed_limit = limit
+        coded = text.translate({ord(c): i for i, c in enumerate(letters)})
+        self._digits = np.frombuffer(coded.encode("latin-1", errors="replace"), dtype=np.uint8)
+        if self._digits.size and int(self._digits.max()) >= len(letters):
+            raise ValueError(f"text has a letter outside {letters!r}")
+        self._sets: dict[int, frozenset[str]] = {0: frozenset({""})}
+
+    def of_length(self, k: int) -> frozenset[str]:
+        """The distinct length-k factors of the text."""
+        if not 0 <= k <= self.packed_limit:
+            raise ValueError(f"lengths 0..{self.packed_limit} are packed, got {k}")
+        found = self._sets.get(k)
+        if found is None:
+            found = self._sets[k] = self._distinct(k)
+        return found
+
+    def _distinct(self, k: int) -> frozenset[str]:
+        count = self._digits.size - k + 1
+        if count <= 0:
+            return frozenset()
+        # the narrowest unsigned type that holds every code keeps the windows
+        # small; below 16 bits numpy's in-place sort is many times slower
+        width = np.promote_types(np.uint16, np.min_scalar_type(self._base**k - 1))
+        codes = np.zeros(count, dtype=width)
+        for j in range(k):
+            codes *= self._base
+            codes += self._digits[j : j + count]
+        codes.sort()
+        first = np.empty(count, dtype=bool)
+        first[0] = True
+        np.not_equal(codes[1:], codes[:-1], out=first[1:])
+        codes = codes[first]
+        # decode the last digit first into a (distinct, k) array of code points
+        points = np.array([ord(c) for c in self.letters], dtype=np.uint32)
+        chars = np.empty((codes.size, k), dtype=np.uint32)
+        for j in reversed(range(k)):
+            chars[:, j] = points[codes % self._base]
+            codes //= self._base
+        return frozenset(chars.view(f"<U{k}")[:, 0].tolist())
 
     def __contains__(self, word: str) -> bool:
-        if len(word) > self.ell:
-            raise ValueError(f"factor set only covers lengths <= {self.ell}")
-        return word in self.factors
-
-    def of_length(self, n: int) -> frozenset[str]:
-        return frozenset(f for f in self.factors if len(f) == n)
-
-    def count(self, n: int) -> int:
-        return sum(1 for f in self.factors if len(f) == n)
-
-
-def _slice_factors(text: str, ell: int) -> set[str]:
-    out = {""}
-    for k in range(1, ell + 1):
-        out.update(text[i : i + k] for i in range(len(text) - k + 1))
-    return out
-
-
-def factors(stream: PrefixStream, ell: int, horizon: int, check_stabilization: bool = False) -> FactorSet:
-    """Distinct factors of length <= ell within the first ``horizon`` letters.
-
-    With ``check_stabilization`` the horizon is doubled once and the flag records
-    whether that added any new factor.  Absence from the set only means "not seen
-    within the horizon".
-    """
-    if ell < 0:
-        raise ValueError("ell must be nonnegative")
-    if horizon < ell:
-        raise ValueError("horizon must be at least ell")
-    found = _slice_factors(stream.prefix(horizon), ell)
-    stabilized = None
-    if check_stabilization:
-        stabilized = _slice_factors(stream.prefix(2 * horizon), ell) == found
-    return FactorSet(ell, horizon, frozenset(found), stabilized)
+        if len(word) <= self.packed_limit:
+            return word in self.of_length(len(word))
+        return self.text.find(word) >= 0
 
 
 @dataclass(frozen=True)
@@ -433,18 +446,6 @@ def recurrence_gap(stream: PrefixStream, factor: str, horizon: int) -> int:
             f"{factor!r} occurs {len(starts)} time(s) within horizon {horizon}"
         )
     return max(b - a for a, b in zip(starts, starts[1:]))
-
-
-def subword_complexity(stream: PrefixStream, n: int, horizon: int) -> int:
-    """Number of distinct length-n factors within the first ``horizon`` letters."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if horizon < n:
-        raise ValueError("horizon must be at least n")
-    if n == 0:
-        return 1
-    text = stream.prefix(horizon)
-    return len({text[i : i + n] for i in range(len(text) - n + 1)})
 
 
 class SuffixAutomaton:

@@ -114,6 +114,20 @@ def test_free_command_tilde_with_primed_names(capsys):
     assert rec["rank"] == "14"
 
 
+def test_free_command_prime_after_whitespace(capsys):
+    code = run(["free", "--view", "tilde", "--horizon", "20000", "--gens", "1*x '", "--Lfree", "1"])
+    out, rec = _record(capsys)
+    assert code == 0
+    assert rec["generators"] == "1*X"
+
+
+@pytest.mark.parametrize("gens", ["1*'x", "1'*x", ";1*x"])
+def test_free_command_malformed_literals_exit_two(gens, capsys):
+    code = run(["free", "--view", "tilde", "--horizon", "20000", "--gens", gens, "--Lfree", "1"])
+    capsys.readouterr()
+    assert code == 2
+
+
 def test_free_command_dependent(capsys):
     code = run([
         "free", "--view", "free", "--letters", "xy",

@@ -11,7 +11,6 @@ from wordalg.interleave import (
     BASE_START,
     BASE_WEIGHTS,
     InterleaveSpec,
-    InterleaveStream,
     UniversalSequence,
     base_morphism,
     construction_pipeline,
@@ -224,19 +223,6 @@ def test_alternating_pattern_witness_is_a_factor(xy_stream, tilde_stream):
             image = substitute(view, abstract, assignment)
             assert witness in image.coeffs
             assert image.coeffs[witness] == 1
-
-
-def test_fixed_difference_sequence_mode_exists(xy_stream):
-    # exploratory mode: interleave along constant cuts instead of the universal
-    # sequence; nothing is asserted about freeness there
-    from wordalg.interleave import FixedDifferenceSequence
-
-    spec = InterleaveSpec(xy_stream, FixedDifferenceSequence(2))
-    stream = InterleaveStream(spec)
-    text = stream.prefix(12)
-    assert unprime(text, spec.mapping) == xy_stream.prefix(12)
-    assert text[:4] == "xyYY"  # segments of length 2, alternating case
-    assert spec.sequence.order_tag == "constant-2"
 
 
 # -- the pipeline ---------------------------------------------------------------------

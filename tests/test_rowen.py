@@ -104,6 +104,25 @@ def test_band_matrix_overflow_guard():
         big * big
 
 
+def test_band_matrix_product_bound_counts_the_diagonals():
+    # entry (1, 4) of the square sums four products of 2^31 - 1
+    m = BandMatrix(8, {k: [2**31 - 1] * (8 - k) for k in range(4)})
+    with pytest.raises(OverflowError):
+        m * m
+    # one diagonal of 2^31 squares exactly, below 2^63
+    single = BandMatrix(4, {1: [2**31] * 3})
+    assert (single * single).entry(1, 3) == 2**62
+
+
+def test_band_matrix_sum_and_scaling_bounds():
+    m = BandMatrix(2, {0: [2**62, 1]})
+    with pytest.raises(OverflowError):
+        m.scaled(4)
+    with pytest.raises(OverflowError):
+        m + m
+    assert (m.scaled(1) + BandMatrix.zero(2)).entry(1, 1) == 2**62
+
+
 # -- generators ---------------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from wordalg import words
 from wordalg.words import (
     Alphabet,
+    FactorIndex,
     MorphicStream,
     NotProlongableError,
     NotRecurrentError,
@@ -12,7 +13,6 @@ from wordalg.words import (
     SuffixAutomaton,
     analyze_morphism,
     exact_det,
-    factors,
     fixed_point_prefix,
     incidence_matrix,
     is_cube_free,
@@ -24,7 +24,6 @@ from wordalg.words import (
     parikh,
     parse_morphism_spec,
     recurrence_gap,
-    subword_complexity,
     word_weight,
 )
 
@@ -220,37 +219,74 @@ def test_stream_concurrent_readers_see_consistent_prefixes(sub_xy):
 
 
 def test_factor_set_examples(tm_stream):
-    fs = factors(tm_stream, 1, 16)
-    assert fs.of_length(1) == {"x", "y"}
-    assert "" in fs.factors
-    fs3 = factors(tm_stream, 3, 10_000)
-    assert "yyy" not in fs3
-    assert "xxx" not in fs3
+    index = FactorIndex(tm_stream.prefix(16), "xy")
+    assert index.of_length(1) == {"x", "y"}
+    assert "" in index
+    index = FactorIndex(tm_stream.prefix(10_000), "xy")
+    assert "yyy" not in index
+    assert "xxx" not in index
 
 
 def test_factor_set_periodic():
-    fs = factors(PeriodicStream("xy"), 2, 100)
-    assert fs.of_length(2) == {"xy", "yx"}
+    index = FactorIndex(PeriodicStream("xy").prefix(100), "xy")
+    assert index.of_length(2) == {"xy", "yx"}
 
 
 def test_factor_set_subword_closed(xy_stream):
-    fs = factors(xy_stream, 4, 2000)
-    for f in fs.factors:
-        for i in range(len(f)):
-            for j in range(i, len(f) + 1):
-                assert f[i:j] in fs.factors
+    index = FactorIndex(xy_stream.prefix(2000), "xy")
+    for k in range(5):
+        for f in index.of_length(k):
+            for i in range(len(f)):
+                for j in range(i, len(f) + 1):
+                    assert f[i:j] in index
 
 
 def test_factor_set_stabilizes(xy_stream, tm_stream):
     for stream in (xy_stream, tm_stream):
-        fs = factors(stream, 4, 5000, check_stabilization=True)
-        assert fs.stabilized is True
+        short = FactorIndex(stream.prefix(5000), "xy")
+        doubled = FactorIndex(stream.prefix(10_000), "xy")
+        for k in range(5):
+            assert short.of_length(k) == doubled.of_length(k)
 
 
-def test_factor_set_rejects_overlong_queries(tm_stream):
-    fs = factors(tm_stream, 2, 100)
+def test_complexity_examples(tm_stream):
+    assert len(FactorIndex(tm_stream.prefix(100), "xy").of_length(0)) == 1
+    tm = FactorIndex(tm_stream.prefix(10_000), "xy")
+    assert len(tm.of_length(1)) == 2
+    assert len(tm.of_length(2)) == 4
+    assert len(FactorIndex(PeriodicStream("xy").prefix(1000), "xy").of_length(5)) == 2
+
+
+def _naive_factors(text, k):
+    return {text[i : i + k] for i in range(len(text) - k + 1)}
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_factor_index_matches_naive_slice_sets(data):
+    letters = data.draw(st.sampled_from(["x", "xy", "xy\u2192Y", "0123456789"]))
+    text = data.draw(st.text(alphabet=letters, max_size=150))
+    index = FactorIndex(text, letters)
+    limit = index.packed_limit
+    assert limit == {1: 62, 2: 62, 4: 31, 10: 18}[len(letters)]
+    for k in (0, 1, limit):
+        assert index.of_length(k) == _naive_factors(text, k)
     with pytest.raises(ValueError):
-        "xxx" in fs
+        index.of_length(limit + 1)
+    for k in (0, 1, limit, limit + 1):
+        probes = [data.draw(st.text(alphabet=letters, min_size=k, max_size=k))]
+        if len(text) >= k:
+            start = data.draw(st.integers(0, len(text) - k))
+            probes.append(text[start : start + k])
+        for word in probes:
+            assert (word in index) == (word in _naive_factors(text, k))
+
+
+def test_factor_index_rejects_foreign_letters():
+    with pytest.raises(ValueError):
+        FactorIndex("xyz", "xy")
+    with pytest.raises(ValueError):
+        FactorIndex("x\u2192", "xy")
 
 
 # -- cube-freeness --------------------------------------------------------------
@@ -303,13 +339,6 @@ def test_recurrence_examples(tm_stream):
 def test_recurrence_requires_two_occurrences():
     with pytest.raises(NotRecurrentError):
         recurrence_gap(PeriodicStream("xy"), "yy", 100)
-
-
-def test_complexity_examples(tm_stream):
-    assert subword_complexity(tm_stream, 0, 100) == 1
-    assert subword_complexity(tm_stream, 1, 10_000) == 2
-    assert subword_complexity(tm_stream, 2, 10_000) == 4
-    assert subword_complexity(PeriodicStream("xy"), 5, 1000) == 2
 
 
 @given(n=st.integers(0, 8))

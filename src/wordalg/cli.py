@@ -2,7 +2,8 @@
 
 Every subcommand prints a flat, deterministic text record ("key: value" lines)
 on standard output.  Exit codes: 0 for a positive verdict, 1 for a negative
-verdict, 2 for usage errors or malformed inputs.
+verdict, 2 for usage errors or malformed inputs, 3 for an inconclusive run (a
+truncation, search bound or int64 bound was reached before a verdict).
 """
 
 from __future__ import annotations
@@ -275,6 +276,9 @@ def run(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (rowen.IndexExceedsTruncationError, rowen.NotFoundWithinBoundError, OverflowError) as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return 3
     print(text)
     return code
 

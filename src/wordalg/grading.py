@@ -147,18 +147,21 @@ def is_rotation_primitive(gaps) -> bool:
 # weight sequences of iterated prefixes
 
 
-def gcd_sequence(m: Morphism, weights, u: str, count: int) -> tuple[int, ...]:
-    """Weights of the iterated images of u: entry j is weights . M^j . parikh(u)."""
+def weight_iterates(m: Morphism, weights, u: str):
+    """Weights of the iterated images of u, without end: term j is weights . M^j . parikh(u)."""
     weights = check_weights(m.alphabet, weights)
     if not u:
         raise ValueError("u must be nonempty")
     mat = incidence_matrix(m)
     v = parikh(m.alphabet, u)
-    out = []
-    for _ in range(count + 1):
-        out.append(sum(w * c for w, c in zip(weights, v)))
+    while True:
+        yield sum(w * c for w, c in zip(weights, v))
         v = mat_vec(mat, v)
-    return tuple(out)
+
+
+def gcd_sequence(m: Morphism, weights, u: str, count: int) -> tuple[int, ...]:
+    """Terms 0..count of ``weight_iterates``."""
+    return tuple(term for _, term in zip(range(count + 1), weight_iterates(m, weights, u)))
 
 
 def running_gcd(values) -> tuple[int, ...]:
@@ -268,24 +271,16 @@ def certify_graded_nilpotence(
         u_match = probe == u + start
 
     gseq = []
-    g = 0
-    reached = None
-    mat = incidence_matrix(m)
-    v = parikh(m.alphabet, u)
-    for j in range(gcd_terms + 1):
-        term = sum(w * c for w, c in zip(weights, v))
+    for _, term in zip(range(gcd_terms + 1), weight_iterates(m, weights, u)):
         gseq.append(term)
-        g = math.gcd(g, term)
-        if g == 1:
-            reached = j
+        if math.gcd(*gseq) == 1:
             break
-        v = mat_vec(mat, v)
-    if reached is None:
+    else:
         return fail("gcd-undecided", u, u_source, u_match, gseq, None)
 
     return Certificate(
         CERTIFIED, "", start, weights, report.det, report.primitive,
-        u, u_source, u_match, tuple(gseq), reached, spec_echo,
+        u, u_source, u_match, tuple(gseq), len(gseq) - 1, spec_echo,
     )
 
 

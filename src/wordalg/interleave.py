@@ -14,6 +14,7 @@ Primed companion letters are represented internally by the uppercase letter
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,54 +34,54 @@ from .monalg import (
     linear_independence,
     pattern_images,
 )
-from .words import Alphabet, Morphism, MorphicStream, PrefixStream, make_morphism
+from .words import Alphabet, Morphism, MorphicStream, PrefixStream, code_points, make_morphism
 
 ENUMERATION_ORDER = "sum-length-lex"
 
 
-def _compositions(total: int, parts: int):
-    """Compositions of ``total`` into ``parts`` positive parts, lexicographically."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _block_differences(total: int) -> np.ndarray:
+    """The compositions of ``total`` in (length, lex) order, parts concatenated.
 
-
-def _composition_stream():
-    total = 1
-    while True:
-        for parts in range(1, total + 1):
-            yield from _compositions(total, parts)
-        total += 1
+    A composition is the bitmask of its cut points, the top bit standing for
+    cut point 1; within one length, lex order is descending mask order.
+    """
+    masks = np.arange(2 ** (total - 1) - 1, -1, -1, dtype=np.uint32)
+    cuts = ((masks[:, None] >> np.arange(total - 2, -1, -1, dtype=np.uint32)) & 1).astype(bool)
+    starts = np.ones((masks.size, total), dtype=bool)
+    starts[:, 1:] = cuts[np.argsort(cuts.sum(axis=1), kind="stable")]
+    return np.diff(np.flatnonzero(starts), append=starts.size)
 
 
 class UniversalSequence:
     """Increasing integers n_0 = 0 < n_1 < ... whose consecutive differences are
     the concatenation of every finite positive-integer sequence, enumerated by
-    (sum, length, lex).  Reproducible bit for bit."""
+    (sum, length, lex).  Reproducible bit for bit.
+
+    Terms are built one sum-block (all compositions of one sum) at a time.
+    """
 
     order_tag = ENUMERATION_ORDER
 
     def __init__(self):
-        self._diffs: list[int] = []
-        self._values: list[int] = [0]
-        self._source = _composition_stream()
+        self._diffs = array("q")
+        self._values = array("q", [0])
+        self._block_ends = [0]  # entry s: differences belonging to sums <= s
 
     def _pull(self):
-        block = next(self._source)
-        for d in block:
-            self._diffs.append(d)
-            self._values.append(self._values[-1] + d)
+        diffs = _block_differences(len(self._block_ends))
+        self._diffs.frombytes(diffs.tobytes())
+        self._values.frombytes((np.cumsum(diffs) + self._values[-1]).tobytes())
+        self._block_ends.append(len(self._diffs))
+
+    def block_end(self, total: int) -> int:
+        """Number of differences that belong to the compositions of sums <= total."""
+        while len(self._block_ends) <= total:
+            self._pull()
+        return self._block_ends[total]
 
     def ensure_terms(self, count: int):
         """Materialize n_0 .. n_count."""
         while len(self._values) <= count:
-            self._pull()
-
-    def ensure_value(self, v: int):
-        while self._values[-1] < v:
             self._pull()
 
     def value(self, i: int) -> int:
@@ -170,24 +171,26 @@ class InterleaveSpec:
 
 
 class InterleaveStream(PrefixStream):
-    """Prefixes of the interleaved word over the doubled alphabet."""
+    """Prefixes of the interleaved word over the doubled alphabet, grown one
+    sum-block of segments of the universal sequence at a time."""
 
     def __init__(self, spec: InterleaveSpec):
         super().__init__(spec.alphabet)
         self.spec = spec
-        self._segment = 0
+        self._sums = 0  # sum-blocks of segments emitted so far
         self._table = str.maketrans(spec.mapping)
 
     def _grow(self) -> str:
-        k = self._segment + 1
         seq = self.spec.sequence
-        seq.ensure_terms(k)
-        lo, hi = seq.value(k - 1), seq.value(k)
-        chunk = self.spec.base.slice(lo, hi)
-        if k % 2 == 0:
-            chunk = chunk.translate(self._table)
-        self._segment = k
-        return chunk
+        first = seq.block_end(self._sums)
+        self._sums += 1
+        last = seq.block_end(self._sums)
+        chunk = self.spec.base.slice(seq.value(first), seq.value(last))
+        # segment k holds n_k - n_{k-1} letters and is primed exactly for even k
+        even = np.arange(first + 1, last + 1) % 2 == 0
+        primed = np.repeat(even, np.array(seq._diffs[first:last], dtype=np.int64))
+        letters = np.where(primed, code_points(chunk.translate(self._table)), code_points(chunk))
+        return letters.tobytes().decode("utf-32-le")
 
 
 def interleaved_prefix(spec: InterleaveSpec, n: int) -> str:

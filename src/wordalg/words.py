@@ -8,7 +8,6 @@ scanner and for the packed window codes of ``FactorIndex``).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,37 +227,21 @@ def word_weight(alphabet: Alphabet, word: str, weights) -> int:
 
 
 def fixed_point_prefix(m: Morphism, start: str, n: int) -> str:
-    """First ``n`` letters of the infinite fixed point of ``m`` beginning with ``start``.
-
-    The word is built as start, tail, image(tail), image^2(tail), ... where
-    image(start) = start + tail; extending ``n`` never changes earlier letters.
-    """
+    """First ``n`` letters of the infinite fixed point of ``m`` beginning with ``start``."""
     if n < 0:
         raise ValueError("length must be nonnegative")
-    if not is_prolongable(m, start):
-        raise NotProlongableError(f"morphism is not prolongable on {start!r}")
-    if n == 0:
-        return ""
-    pieces = [start]
-    total = 1
-    block = m.images[start][1:]
-    while total < n:
-        pieces.append(block)
-        total += len(block)
-        block = m.apply(block)
-    return "".join(pieces)[:n]
+    return MorphicStream(m, start).prefix(n)
 
 
 class PrefixStream:
     """Deterministic, monotone generator of prefixes of a right-infinite word.
 
-    Extension is serialized under a lock; readers always observe a consistent
-    immutable prefix.  Subclasses supply ``_grow`` returning the next chunk.
+    Subclasses supply ``_grow`` returning the next nonempty chunk; a read joins
+    the chunks built so far onto the cached prefix.
     """
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
-        self._lock = threading.Lock()
         self._chunks: list[str] = []
         self._length = 0
         self._cache = ""
@@ -267,20 +250,15 @@ class PrefixStream:
         raise NotImplementedError
 
     def _ensure(self, n: int):
-        if len(self._cache) >= n:
-            return
-        with self._lock:
-            while self._length < n:
-                chunk = self._grow()
-                if not chunk:
-                    raise RuntimeError("stream stopped growing")
-                self._chunks.append(chunk)
-                self._length += len(chunk)
-            if len(self._cache) < self._length:
-                joined = "".join([self._cache] + self._chunks) if self._cache else "".join(self._chunks)
-                self._cache = joined
-                self._chunks = []
-                self._length = len(joined)
+        while self._length < n:
+            chunk = self._grow()
+            if not chunk:
+                raise RuntimeError("stream stopped growing")
+            self._chunks.append(chunk)
+            self._length += len(chunk)
+        if self._chunks:
+            self._cache = "".join([self._cache, *self._chunks])
+            self._chunks = []
 
     def prefix(self, n: int) -> str:
         self._ensure(n)
@@ -292,8 +270,17 @@ class PrefixStream:
         return self._cache[start:stop]
 
 
+PIECE_SIZE = 65_536
+
+
 class MorphicStream(PrefixStream):
-    """Prefixes of the fixed point of a morphism prolongable on ``start``."""
+    """Prefixes of the fixed point of a morphism prolongable on ``start``.
+
+    The word is start, tail, image(tail), image^2(tail), ... where
+    image(start) = start + tail.  Each block is the image of the one before,
+    built ``PIECE_SIZE`` letters of that block at a time, so a prefix of n
+    letters builds little more than n.
+    """
 
     def __init__(self, morphism: Morphism, start: str):
         super().__init__(morphism.alphabet)
@@ -301,14 +288,21 @@ class MorphicStream(PrefixStream):
             raise NotProlongableError(f"morphism is not prolongable on {start!r}")
         self.morphism = morphism
         self.start = start
-        self._block = morphism.images[start][1:]
-        self._chunks = [start]
-        self._length = 1
+        self._chunks = [morphism.images[start]]
+        self._length = len(self._chunks[0])
+        self._block = self._chunks[0][1:]  # the block being expanded
+        self._done = 0  # letters of it expanded so far
+        self._pieces: list[str] = []  # their images: the next block
 
     def _grow(self) -> str:
-        chunk = self._block
-        self._block = self.morphism.apply(chunk)
-        return chunk
+        while True:
+            if self._done >= len(self._block):
+                self._block, self._done, self._pieces = "".join(self._pieces), 0, []
+            image = self.morphism.apply(self._block[self._done : self._done + PIECE_SIZE])
+            self._done += PIECE_SIZE
+            if image:  # pieces of mortal letters have empty images
+                self._pieces.append(image)
+                return image
 
 
 class PeriodicStream(PrefixStream):
@@ -406,7 +400,7 @@ class CubeCheck:
     period: int | None = None
 
 
-def _codes(word: str) -> np.ndarray:
+def code_points(word: str) -> np.ndarray:
     return np.frombuffer(word.encode("utf-32-le"), dtype=np.uint32)
 
 
@@ -415,7 +409,7 @@ def is_cube_free(word: str) -> CubeCheck:
     n = len(word)
     if n < 3:
         return CubeCheck(True)
-    arr = _codes(word)
+    arr = code_points(word)
     best: tuple[int, int] | None = None
     for p in range(1, n // 3 + 1):
         eq = arr[:-p] == arr[p:]

@@ -199,6 +199,15 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_rowen_truncation_reached_is_inconclusive(capsys):
+    # the index search hits the truncation band: neither verdict, no traceback
+    assert run(["rowen", "--N", "66", "--margin", "64", "--maxlen", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("inconclusive: ")
+    assert "Traceback" not in captured.err
+
+
 def test_bundled_morphism_files(capsys):
     for name, expected in (("sub_xy.morph", 0), ("sub_xyz.morph", 0), ("thue_morse.morph", 1)):
         path = REPO_MORPHISMS / name

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordalg.grading import weight_sum_prefix
@@ -11,7 +11,9 @@ from wordalg.interleave import (
     BASE_START,
     BASE_WEIGHTS,
     InterleaveSpec,
+    InterleaveStream,
     UniversalSequence,
+    _block_differences,
     base_morphism,
     construction_pipeline,
     interleaved_prefix,
@@ -23,7 +25,7 @@ from wordalg.interleave import (
     unprime,
 )
 from wordalg.monalg import HorizonWarning
-from wordalg.words import Alphabet
+from wordalg.words import Alphabet, MorphicStream
 
 
 # -- the enumeration oracle: re-derive the (sum, length, lex) order from scratch
@@ -51,6 +53,12 @@ def test_oracle_composition_order_is_lex():
     assert comps[:7] == [(1,), (2,), (1, 1), (3,), (1, 2), (2, 1), (1, 1, 1)]
     by_key = sorted(comps, key=lambda c: (sum(c), len(c), c))
     assert comps == by_key
+
+
+@pytest.mark.parametrize("total", range(1, 13))
+def test_block_differences_match_oracle(total):
+    block = [d for comp in _oracle_compositions(total) if sum(comp) == total for d in comp]
+    assert _block_differences(total).tolist() == block
 
 
 # -- universal sequence ------------------------------------------------------------
@@ -154,6 +162,33 @@ def test_interleaved_prefix_start(xy_stream):
     # segments: w[1,1] unprimed, w[2,3] primed, w[4,4] unprimed, ...
     assert interleaved_prefix(spec, 4) == "xYYy"
     assert interleaved_prefix(spec, 0) == ""
+
+
+# the interleaved word built one segment at a time, straight from the oracle
+# differences: segment k is w[n_{k-1}, n_k) and is primed for even k
+ORACLE_SUM = 11  # its sum-blocks end at letters 1, 5, 17, 49, ..., 9217, 20481
+NAIVE_BASE = MorphicStream(base_morphism(), BASE_START).prefix(20_481)
+
+
+def _naive_interleaved():
+    segments, pos = [], 0
+    for k, d in enumerate(_oracle_diffs(ORACLE_SUM), start=1):
+        segment = NAIVE_BASE[pos : pos + d]
+        segments.append(segment.upper() if k % 2 == 0 else segment)
+        pos += d
+    return "".join(segments)
+
+
+NAIVE_INTERLEAVED = _naive_interleaved()
+
+
+@given(st.lists(st.integers(0, len(NAIVE_INTERLEAVED)), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_interleave_stream_matches_per_segment_build(lengths):
+    base = MorphicStream(base_morphism(), BASE_START)
+    stream = InterleaveStream(InterleaveSpec(base, UniversalSequence()))
+    for n in sorted(lengths):
+        assert stream.prefix(n) == NAIVE_INTERLEAVED[:n]
 
 
 def test_interleaved_prefix_unprimes_to_base(xy_stream, tilde_stream):

@@ -193,26 +193,54 @@ def test_fixed_point_prefix_stability(n, k, sub_xy):
     assert fixed_point_prefix(sub_xy, "x", n + k)[:n] == fixed_point_prefix(sub_xy, "x", n)
 
 
+def _eager_fixed_point(m, start, n):
+    """Whole blocks start, tail, image(tail), ... until n letters are there."""
+    word, block = start, m.images[start][1:]
+    while len(word) < n:
+        word += block
+        block = m.apply(block)
+    return word[:n]
+
+
 def test_stream_matches_fixed_point(sub_xy):
     stream = MorphicStream(sub_xy, "x")
-    assert stream.prefix(137) == fixed_point_prefix(sub_xy, "x", 137)
-    assert stream.slice(10, 20) == fixed_point_prefix(sub_xy, "x", 20)[10:20]
+    reference = _eager_fixed_point(sub_xy, "x", 137)
+    assert stream.prefix(137) == fixed_point_prefix(sub_xy, "x", 137) == reference
+    assert stream.slice(10, 20) == reference[10:20]
 
 
-def test_stream_concurrent_readers_see_consistent_prefixes(sub_xy):
-    import concurrent.futures
+MORTAL_Z = make_morphism("xyz", x="xzy", y="zzyx", z="")
 
-    stream = MorphicStream(sub_xy, "x")
-    lengths = [rng * 97 % 5000 + 1 for rng in range(200)]
 
-    def read(n):
-        return n, stream.prefix(n)
+@pytest.mark.parametrize(
+    "m, start",
+    [
+        (make_morphism("xy", x="xy", y="yyx"), "x"),
+        (make_morphism("xy", x="xy", y="yx"), "y"),
+        (MORTAL_Z, "x"),
+    ],
+    ids=["sub_xy", "thue_morse", "mortal_z"],
+)
+@pytest.mark.parametrize("piece_size", [1, 2, 7, words.PIECE_SIZE])
+def test_morphic_stream_matches_eager_blocks(m, start, piece_size, monkeypatch):
+    monkeypatch.setattr(words, "PIECE_SIZE", piece_size)
+    step = 9_973 if piece_size == words.PIECE_SIZE else 37
+    stop = 300_000 if piece_size == words.PIECE_SIZE else 3_000
+    stream = MorphicStream(m, start)
+    reference = _eager_fixed_point(m, start, stop)
+    for n in range(1, stop, step):
+        assert stream.prefix(n) == reference[:n]
+    assert stream.slice(stop - 50, stop) == reference[-50:]
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(read, lengths))
-    reference = stream.prefix(5001)
-    for n, chunk in results:
-        assert chunk == reference[:n]
+
+@pytest.mark.parametrize("m, start", [(make_morphism("xy", x="xy", y="yyx"), "x"), (MORTAL_Z, "x")])
+def test_morphic_stream_builds_about_what_is_asked(m, start):
+    # at most one piece past the request: no block is built ahead of need
+    longest = max(len(image) for image in m.images.values())
+    stream = MorphicStream(m, start)
+    for n in (1, 1_000, 70_001, 500_000, 2_000_003):
+        stream.prefix(n)
+        assert stream._length <= n + words.PIECE_SIZE * longest
 
 
 # -- factor sets ---------------------------------------------------------------

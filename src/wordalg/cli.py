@@ -3,7 +3,8 @@
 Every subcommand prints a flat, deterministic text record ("key: value" lines)
 on standard output.  Exit codes: 0 for a positive verdict, 1 for a negative
 verdict, 2 for usage errors or malformed inputs, 3 for an inconclusive run (a
-truncation, search bound or int64 bound was reached before a verdict).
+truncation, search bound, decomposition horizon or int64 bound was reached
+before a verdict).
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def _cmd_theorem32(args) -> tuple[int, str]:
 
 
 def _cmd_rowen(args) -> tuple[int, str]:
-    tm = rowen.ThueMorseSequence()
+    tm = rowen.THUE_MORSE
     record: dict[str, str] = {
         "truncation": str(args.N),
         "horizon": str(args.horizon),
@@ -167,7 +168,7 @@ def _cmd_rowen(args) -> tuple[int, str]:
         ok &= result.stable
 
     if args.word:
-        letters = args.word.translate(str.maketrans("ab", "yx"))
+        letters = args.word.translate(rowen.AB_TO_WORD)
         mat = rowen.evaluate_word(letters, args.N, margin=args.margin)
         record["word"] = args.word
         record["word_zero"] = "true" if mat.is_zero() else "false"
@@ -276,7 +277,12 @@ def run(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (rowen.IndexExceedsTruncationError, rowen.NotFoundWithinBoundError, OverflowError) as exc:
+    except (
+        rowen.IndexExceedsTruncationError,
+        rowen.NotFoundWithinBoundError,
+        grading.DecompositionNotFoundError,
+        OverflowError,
+    ) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
     print(text)

@@ -40,8 +40,8 @@ GROWTH_RATIO = 1.5
 GROWTH_FLOOR = 20
 
 
-class DecompositionNotFoundError(ValueError):
-    """The start letter does not reoccur within the search horizon."""
+class DecompositionNotFoundError(RuntimeError):
+    """The start letter does not reoccur within the search horizon (inconclusive)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,8 +52,11 @@ class WeightSumSet:
     sums: np.ndarray  # strictly increasing int64, sums[0] == 0
 
     @cached_property
-    def value_set(self) -> set[int]:
-        return set(map(int, self.sums))
+    def present(self) -> np.ndarray:
+        """present[v] is True iff v is a weight sum (v = 0..max_value)."""
+        mask = np.zeros(self.max_value + 1, dtype=bool)
+        mask[self.sums] = True
+        return mask
 
     @property
     def horizon(self) -> int:
@@ -93,8 +96,7 @@ def longest_ap(sumset: WeightSumSet, difference: int) -> int:
     """Largest L such that t, t+D, ..., t+(L-1)D all lie in the set, exactly."""
     if difference < 1:
         raise ValueError("difference must be positive")
-    present = np.zeros(sumset.max_value + 1, dtype=bool)
-    present[sumset.sums] = True
+    present = sumset.present
     best = 0
     for residue in range(min(difference, present.size)):
         best = max(best, _longest_true_run(present[residue::difference]))
@@ -118,8 +120,7 @@ def residue_profile(sumset: WeightSumSet, difference: int, ap_threshold: int) ->
         raise ValueError("difference must be at least 2")
     if ap_threshold < 1:
         raise ValueError("ap_threshold must be positive")
-    present = np.zeros(sumset.max_value + 1, dtype=bool)
-    present[sumset.sums] = True
+    present = sumset.present
     residues = tuple(
         r
         for r in range(difference)

@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .words import FactorIndex, PrefixStream, SuffixAutomaton, is_cube_free
+from .words import FactorIndex, PrefixStream, is_cube_free
 
 
 class HorizonWarning(UserWarning):
@@ -54,7 +54,6 @@ class WordFactorView(AlgebraView):
         self.unseen: set[str] = set()
         self._warned = False
         self._index: FactorIndex | None = None
-        self._automaton: SuffixAutomaton | None = None
 
     def factor_index(self) -> FactorIndex:
         if self._index is None:
@@ -74,16 +73,6 @@ class WordFactorView(AlgebraView):
                     stacklevel=2,
                 )
         return zero
-
-    def automaton(self) -> SuffixAutomaton:
-        if self._automaton is None:
-            self._automaton = SuffixAutomaton(self.factor_index().text)
-        return self._automaton
-
-    def factor_count(self, length: int) -> int:
-        if length == 0:
-            return 1
-        return self.automaton().factor_counts(length)[length]
 
 
 class ForbiddenPatternView(AlgebraView):
@@ -400,8 +389,6 @@ def hilbert_function(view: AlgebraView, weights, n: int) -> int:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return 1
-    if isinstance(view, WordFactorView) and len(set(weights)) == 1 and weights[0] == 1:
-        return view.factor_count(n)
     weight_of = dict(zip(view.letters, weights))
     count = 0
     frontier = [("", 0)]

@@ -23,6 +23,9 @@ DEFAULT_MARGIN = 64
 
 WORD_LETTERS = ("x", "y")  # word letter y maps to the bit generator, x to its complement
 
+# the element letters a (bit generator) and b (complement) as word letters
+AB_TO_WORD = str.maketrans("ab", "yx")
+
 
 class MarginTooSmallError(ValueError):
     """The truncation is too small to decide zero/nonzero for this word length."""
@@ -55,17 +58,11 @@ class ThueMorseSequence:
             self._bits = np.concatenate([self._bits, 1 - self._bits])
         return self._bits[:n]
 
-    def bit(self, i: int) -> int:
-        if i < 1:
-            raise ValueError("indices start at 1")
-        return int(self.bits(i)[i - 1])
-
     def word_prefix(self, n: int) -> str:
-        bits = self.bits(n)
-        return "".join("y" if b else "x" for b in bits)
+        return np.where(self.bits(n), ord("y"), ord("x")).astype(np.uint8).tobytes().decode("ascii")
 
 
-_TM = ThueMorseSequence()
+THUE_MORSE = ThueMorseSequence()
 
 
 def tm_morphism():
@@ -126,11 +123,6 @@ class BandMatrix:
     @classmethod
     def identity(cls, size: int) -> "BandMatrix":
         return cls(size, {0: np.ones(size, dtype=np.int64)})
-
-    @classmethod
-    def from_superdiagonal(cls, vec) -> "BandMatrix":
-        vec = np.asarray(vec, dtype=np.int64)
-        return cls(vec.size + 1, {1: vec})
 
     def diagonal(self, k: int) -> np.ndarray:
         if k in self.diags:
@@ -221,12 +213,24 @@ class BandMatrix:
             raise ValueError("band matrices must have equal size")
 
 
+def _word_diagonal(word: str, n: int, bits: np.ndarray) -> np.ndarray:
+    """Superdiagonal len(word) of a word over {x, y} at truncation n > len(word):
+    entry t is the product over j of bit t+j (letter y) or its complement
+    (letter x), read from ``bits`` = m_1..m_{n-1}."""
+    length = len(word)
+    vec = np.ones(n - length, dtype=np.int64)
+    for j, ch in enumerate(word):
+        letter = bits[j : j + n - length]
+        vec *= letter if ch == "y" else 1 - letter
+    return vec
+
+
 def build_generators(n: int, tm: ThueMorseSequence | None = None) -> tuple[BandMatrix, BandMatrix]:
     """Truncated generators: bit m_i at (i, i+1) for the first, 1-m_i for the second."""
     if n < 2:
         raise ValueError("truncation must be at least 2")
-    bits = (tm or _TM).bits(n - 1)
-    return BandMatrix.from_superdiagonal(bits), BandMatrix.from_superdiagonal(1 - bits)
+    bits = (tm or THUE_MORSE).bits(n - 1)
+    return tuple(BandMatrix(n, {1: _word_diagonal(letter, n, bits)}) for letter in "yx")
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +243,7 @@ def _check_word_letters(word: str):
             raise ValueError(f"word letters must be in {WORD_LETTERS}, got {c!r}")
 
 
-def evaluate_word(word: str, n: int, margin: int = DEFAULT_MARGIN, tm: ThueMorseSequence | None = None) -> BandMatrix:
+def evaluate_word(word: str, n: int, margin: int = DEFAULT_MARGIN) -> BandMatrix:
     """Image of a word over {x, y} (y -> bit generator, x -> complement) at
     truncation n.  Requires n > len(word) + margin so the probed band cannot be
     an artifact of the truncation."""
@@ -248,49 +252,26 @@ def evaluate_word(word: str, n: int, margin: int = DEFAULT_MARGIN, tm: ThueMorse
         raise MarginTooSmallError(
             f"need truncation > {len(word) + margin} for a word of length {len(word)}"
         )
-    length = len(word)
-    if length == 0:
-        return BandMatrix.identity(n)
-    bits = (tm or _TM).bits(n - 1)
-    vec = np.ones(n - length, dtype=np.int64)
-    for j, ch in enumerate(word):
-        letter_bits = bits if ch == "y" else 1 - bits
-        vec = vec * letter_bits[j : j + n - length]
-    return BandMatrix(n, {length: vec})
+    return BandMatrix(n, {len(word): _word_diagonal(word, n, THUE_MORSE.bits(n - 1))})
 
 
-def coefficient(word: str, t: int, tm: ThueMorseSequence | None = None) -> int:
+def coefficient(word: str, t: int) -> int:
     """Product of bits/complements along the word starting at index t: equals the
-    (t, t+len) entry of the evaluated word."""
+    (t, t+len) entry of the evaluated word.  Reads the bits by popcount, so it
+    is independent of the bit cache."""
     _check_word_letters(word)
     if t < 1:
         raise ValueError("indices start at 1")
-    tm = tm or _TM
-    out = 1
-    for j, ch in enumerate(word):
-        b = tm.bit(t + j)
-        out *= b if ch == "y" else 1 - b
-        if out == 0:
-            return 0
-    return out
+    return int(all(thue_morse_bit(t + j) == (ch == "y") for j, ch in enumerate(word)))
 
 
-def vanishing_matches_factor(
-    word: str,
-    n: int,
-    horizon: int,
-    margin: int = DEFAULT_MARGIN,
-    factor_text: str | None = None,
-) -> bool:
+def vanishing_matches_factor(word: str, n: int, horizon: int, margin: int = DEFAULT_MARGIN) -> bool:
     """True when "the evaluated word is zero" agrees with "the word is not a
     factor of the Thue-Morse word within the horizon"."""
     if not word:
         raise ValueError("word must be nonempty")
     zero = evaluate_word(word, n, margin).is_zero()
-    if factor_text is None:
-        factor_text = _TM.word_prefix(horizon)
-    is_factor = factor_text.find(word) >= 0
-    return zero == (not is_factor)
+    return zero == (word not in THUE_MORSE.word_prefix(horizon))
 
 
 @dataclass(frozen=True)
@@ -315,9 +296,9 @@ def correspondence_scan(
         raise ValueError("max_len must be positive")
     if n <= max_len + margin:
         raise MarginTooSmallError(f"need truncation > {max_len + margin}")
-    bits = _TM.bits(n - 1)
+    bits = THUE_MORSE.bits(n - 1)
     letter_vecs = {"y": bits, "x": 1 - bits}
-    index = FactorIndex(_TM.word_prefix(horizon), WORD_LETTERS)
+    index = FactorIndex(THUE_MORSE.word_prefix(horizon), WORD_LETTERS)
     checked = 0
     mismatches = []
     stack = [("", np.ones(n - 1, dtype=np.int64))]
@@ -348,7 +329,7 @@ def n_u_witness(step: int, i_max: int, cap: int = 64, bit_at=None) -> int:
         raise ValueError("step and i_max must be positive")
     needed = i_max + cap * step + 1
     if bit_at is None:
-        arr = _TM.bits(needed)
+        arr = THUE_MORSE.bits(needed)
     else:
         arr = np.fromiter((bit_at(i) for i in range(1, needed + 1)), dtype=np.int64, count=needed)
     idx = np.arange(i_max, dtype=np.int64)  # 0-based index of position i = idx+1
@@ -404,14 +385,17 @@ def _element_words(element) -> dict[str, int]:
 
 
 def _element_operator(words_int: dict[str, int], n: int, tm: ThueMorseSequence) -> BandMatrix:
-    gen_a, gen_b = build_generators(n, tm)
-    acc = BandMatrix.zero(n)
+    """Image of a homogeneous element over a, b at truncation n: one superdiagonal
+    whose entries are sums of c times 0 or 1, so sum |c| bounds them exactly."""
+    _check_bound(sum(abs(c) for c in words_int.values()), "element")
+    degree = len(next(iter(words_int)))
+    if degree >= n:
+        return BandMatrix.zero(n)
+    bits = tm.bits(n - 1)
+    acc = np.zeros(n - degree, dtype=np.int64)
     for word, c in words_int.items():
-        mat = BandMatrix.identity(n)
-        for ch in word:
-            mat = mat * (gen_a if ch == "a" else gen_b)
-        acc = acc + mat.scaled(c)
-    return acc
+        acc += c * _word_diagonal(word.translate(AB_TO_WORD), n, bits)
+    return BandMatrix(n, {degree: acc})
 
 
 def nilpotency_index(
@@ -426,15 +410,15 @@ def nilpotency_index(
     truncation 2n.  ``side`` selects the generator: "a" (bits) or "b" (complements)."""
     if side not in ("a", "b"):
         raise ValueError("side must be 'a' or 'b'")
-    tm = tm or _TM
-    words_int = _element_words(element)
-    degree = len(next(iter(words_int)))
-    stride = degree + 1
+    if n < 2:
+        raise ValueError("truncation must be at least 2")
+    tm = tm or THUE_MORSE
+    # element * generator: every word of the element gains the side letter
+    words_int = {w + side: c for w, c in _element_words(element).items()}
+    stride = len(next(iter(words_int)))
 
     def index_at(size: int) -> int:
-        gen_a, gen_b = build_generators(size, tm)
-        gen = gen_a if side == "a" else gen_b
-        p = _element_operator(words_int, size, tm) * gen
+        p = _element_operator(words_int, size, tm)
         power = p
         k = 1
         while not power.is_zero():

@@ -445,8 +445,8 @@ def recurrence_gap(stream: PrefixStream, factor: str, horizon: int) -> int:
 class SuffixAutomaton:
     """Online index of all factors of a word.
 
-    Gives O(|query|) factor membership and distinct-factor counts for every
-    length at once; results agree with naive scanning by construction.
+    Gives distinct-factor counts for every length at once; results agree with
+    naive scanning by construction.
     """
 
     __slots__ = ("link", "length", "trans", "last")
@@ -485,15 +485,6 @@ class SuffixAutomaton:
                 self.link[q] = clone
                 self.link[cur] = clone
         self.last = cur
-
-    def contains(self, word: str) -> bool:
-        state = 0
-        for ch in word:
-            nxt = self.trans[state].get(ch)
-            if nxt is None:
-                return False
-            state = nxt
-        return True
 
     def factor_counts(self, max_len: int) -> list[int]:
         """counts[k] = number of distinct factors of length k, for k = 0..max_len."""

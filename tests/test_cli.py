@@ -199,13 +199,23 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_rowen_truncation_reached_is_inconclusive(capsys):
-    # the index search hits the truncation band: neither verdict, no traceback
-    assert run(["rowen", "--N", "66", "--margin", "64", "--maxlen", "1"]) == 3
+def _assert_inconclusive(argv, capsys):
+    # neither verdict, no traceback
+    assert run(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("inconclusive: ")
     assert "Traceback" not in captured.err
+
+
+def test_rowen_truncation_reached_is_inconclusive(capsys):
+    _assert_inconclusive(["rowen", "--N", "66", "--margin", "64", "--maxlen", "1"], capsys)
+
+
+def test_certify_decomposition_not_found_is_inconclusive(capsys):
+    # the start letter x does not reoccur within the first 2 letters xy
+    spec = str(REPO_MORPHISMS / "sub_xy.morph")
+    _assert_inconclusive(["certify", "--spec", spec, "--horizon", "2"], capsys)
 
 
 def test_bundled_morphism_files(capsys):

@@ -20,6 +20,7 @@ from wordalg.monalg import (
     pattern_images,
     substitute,
 )
+from wordalg.words import SuffixAutomaton
 
 
 @pytest.fixture(scope="module")
@@ -313,9 +314,11 @@ def test_hilbert_function_examples(tm_view):
     assert hilbert_function(tm_view, (1, 1), 2) == 4
     # weighted dimension agrees with direct enumeration of weighted factors
     text = tm_view.stream.prefix(10_000)
-    seen = {text[i : i + k] for k in range(1, 5) for i in range(len(text) - k + 1)}
+    seen = {text[i : i + k] for k in range(1, 7) for i in range(len(text) - k + 1)}
     expected = sum(1 for f in seen if f.count("x") + 2 * f.count("y") == 4)
     assert hilbert_function(tm_view, (1, 2), 4) == expected
+    # unit weights count the distinct factors of length n
+    assert hilbert_function(tm_view, (1, 1), 6) == sum(1 for f in seen if len(f) == 6)
 
 
 def test_hilbert_function_cube_view_matches_enumeration():
@@ -338,7 +341,7 @@ def test_hilbert_function_rejects_free_view():
 
 def test_tm_cumulative_growth_is_quadratic(tm_view):
     cumulative = {}
-    counts = tm_view.automaton().factor_counts(512)
+    counts = SuffixAutomaton(tm_view.stream.prefix(tm_view.horizon)).factor_counts(512)
     for n in (64, 128, 256):
         cumulative[n] = sum(counts[: n + 1])
         cumulative[2 * n] = sum(counts[: 2 * n + 1])

@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordalg.rowen import (
+    THUE_MORSE,
     BandMatrix,
     IndexExceedsTruncationError,
     MarginTooSmallError,
     NotFoundWithinBoundError,
     ThueMorseSequence,
+    _element_operator,
+    _element_words,
     build_generators,
     coefficient,
     correspondence_scan,
@@ -295,6 +298,40 @@ def test_nilpotency_index_exceeds_truncation():
 class _AllOnes(ThueMorseSequence):
     def bits(self, n):
         return np.ones(n, dtype=np.int64)
+
+
+@given(
+    degree=st.integers(0, 4),
+    n=st.integers(2, 40),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_element_operator_matches_generator_products(degree, n, data):
+    element = data.draw(
+        st.dictionaries(
+            st.text(alphabet="ab", min_size=degree, max_size=degree),
+            st.integers(-(2**40), 2**40).filter(bool),
+            min_size=1,
+        )
+    )
+    by_letter = dict(zip("ab", build_generators(n)))
+    expected = BandMatrix.zero(n)
+    for word, c in element.items():
+        mat = BandMatrix.identity(n)
+        for ch in word:
+            mat = mat * by_letter[ch]
+        expected = expected + mat.scaled(c)
+    assert _element_operator(_element_words(element), n, THUE_MORSE) == expected
+
+
+def test_element_operator_bounds_the_coefficient_sum():
+    # every entry sums c times 0 or 1, so sum |c| < 2^63 is the exact bound
+    below = _element_operator({"a": 2**62, "b": -(2**62 - 1)}, 8, THUE_MORSE)
+    assert below.max_abs() == 2**62
+    with pytest.raises(OverflowError):
+        _element_operator({"a": 2**62, "b": -(2**62)}, 8, THUE_MORSE)
+    with pytest.raises(OverflowError):
+        nilpotency_index({"ab": 2**62, "ba": 2**62}, "a", 128)
 
 
 # -- growth -----------------------------------------------------------------------------------

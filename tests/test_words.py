@@ -378,14 +378,6 @@ def test_automaton_agrees_with_naive_counts(n, tm_stream):
     assert automaton.factor_counts(n)[n] == naive
 
 
-@given(word=st.text(alphabet="xy", max_size=12))
-@settings(max_examples=150, deadline=None)
-def test_automaton_membership(word, tm_stream):
-    text = tm_stream.prefix(300)
-    automaton = SuffixAutomaton(text)
-    assert automaton.contains(word) == (word in text)
-
-
 # -- spec files ----------------------------------------------------------------
 
 

@@ -8,9 +8,12 @@ no zero monomials in the support.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .words import FactorIndex, PrefixStream, is_cube_free
 
@@ -229,7 +232,10 @@ def parse_poly_literal(view: AlgebraView, text: str) -> NcPolynomial:
         if "*" not in term:
             raise ValueError(f"bad term {term!r}: expected coeff*monomial")
         coeff_text, word = term.split("*", 1)
-        coeff = Fraction(coeff_text)
+        try:
+            coeff = Fraction(coeff_text)
+        except ZeroDivisionError:
+            raise ValueError(f"bad coefficient {coeff_text!r}: zero denominator") from None
         acc[word] = acc.get(word, Fraction(0)) + coeff
     return NcPolynomial(view, acc)
 
@@ -251,14 +257,54 @@ class IndependenceResult:
     dependency: tuple[Fraction, ...] | None  # first nonzero coefficient scaled to 1
 
 
+# Prime of the full-rank certificate.  Residues are below 2^31, so the product
+# of two is below 2^62 and int64 elimination never wraps.
+CERTIFICATE_PRIME = 2**31 - 1
+
+
+def _full_rank_mod_p(polys, col_of) -> bool:
+    """Whether the rows, each scaled to integers by the lcm of its denominators,
+    have full row rank over F_p.  The rank over Q is at least the rank over F_p,
+    so True proves the polynomials independent; False proves nothing."""
+    p = CERTIFICATE_PRIME
+    rows, cols, values = [], [], []
+    for i, poly in enumerate(polys):
+        scale = math.lcm(*(c.denominator for c in poly.coeffs.values()))
+        for w, c in poly.coeffs.items():
+            rows.append(i)
+            cols.append(col_of[w])
+            values.append(c.numerator * (scale // c.denominator) % p)
+    m = np.zeros((len(polys), len(col_of)), dtype=np.int64)
+    m[rows, cols] = values
+    # forward elimination, one pivot row at a time: row i has already been
+    # reduced by every earlier pivot, and its pivot clears its lead column in
+    # the rows below that have it, on its own support only
+    for i, row in enumerate(m):
+        support = np.flatnonzero(row)
+        if support.size == 0:
+            return False
+        lead = support[0]
+        below = i + 1 + np.flatnonzero(m[i + 1 :, lead])
+        if below.size:
+            factors = m[below, lead] * pow(int(row[lead]), -1, p) % p
+            block = np.ix_(below, support)
+            m[block] = (m[block] - factors[:, None] * row[support] % p) % p
+    return True
+
+
 def linear_independence(polys) -> IndependenceResult:
-    """Exact rank of the span; a normalized dependency witness when dependent."""
+    """Exact rank of the span; a normalized dependency witness when dependent.
+
+    Full rank modulo CERTIFICATE_PRIME settles independence at once; only a
+    system that fails that certificate is eliminated over the rationals."""
     polys = list(polys)
     if not polys:
         return IndependenceResult(0, True, None)
     view = polys[0].view
     basis = sorted({w for p in polys for w in p.coeffs}, key=lambda w: monomial_key(view, w))
     col_of = {w: j for j, w in enumerate(basis)}
+    if _full_rank_mod_p(polys, col_of):
+        return IndependenceResult(len(polys), True, None)
     n_cols = len(basis)
 
     pivots: list[tuple[int, list[Fraction], list[Fraction]]] = []  # (col, vector, combo)

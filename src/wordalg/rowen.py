@@ -419,15 +419,16 @@ def nilpotency_index(
 
     def index_at(size: int) -> int:
         p = _element_operator(words_int, size, tm)
-        power = p
-        k = 1
-        while not power.is_zero():
+        power = None
+        k = 0
+        while power is None or not power.is_zero():
             k += 1
+            # a power this deep may vanish only because the truncation cut it off
             if k * stride + margin >= size:
                 raise IndexExceedsTruncationError(
                     f"index search reached the truncation band at k={k}, size={size}"
                 )
-            power = power * p
+            power = p if power is None else power * p
         return k
 
     index = index_at(n)

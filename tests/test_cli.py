@@ -1,7 +1,11 @@
+import contextlib
+import io
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordalg.cli import emit_report, run
 from wordalg.monalg import HorizonWarning
@@ -126,6 +130,42 @@ def test_free_command_malformed_literals_exit_two(gens, capsys):
     code = run(["free", "--view", "tilde", "--horizon", "20000", "--gens", gens, "--Lfree", "1"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_free_command_zero_denominator_exits_two(capsys):
+    code = run(["free", "--view", "free", "--letters", "xy", "--gens", "1/0*x", "--Lfree", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+# literals from a small grammar that mixes well-formed terms with the usual
+# mistakes: zero denominators, nan, stray `*`, foreign letters and primes
+fuzz_coefficients = st.sampled_from(["1", "-1", "2", "1/2", "0", "1/0", "nan", "", "-", "2147483647"])
+fuzz_monomials = st.text(alphabet="xyzq'*", max_size=4)
+fuzz_terms = st.one_of(
+    st.builds("{}*{}".format, fuzz_coefficients, fuzz_monomials),
+    st.sampled_from(["*", "x", "1*", "'", "1*x'"]),
+)
+fuzz_literals = st.lists(fuzz_terms, max_size=3).map(" + ".join)
+
+
+@given(
+    view=st.sampled_from(["free", "cubes"]),
+    letters=st.text(alphabet="xyz", max_size=3),
+    gens=st.lists(fuzz_literals, max_size=3).map(";".join),
+    lfree=st.integers(0, 3),
+)
+@settings(max_examples=100, deadline=None)
+def test_free_command_fuzzed_argv_never_escapes(view, letters, gens, lfree):
+    argv = ["free", "--view", view, "--letters", letters, "--gens", gens, "--Lfree", str(lfree)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_free_command_dependent(capsys):

@@ -3,10 +3,16 @@ import warnings
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wordalg import monalg
 from wordalg.monalg import (
+    CERTIFICATE_PRIME,
     FreeView,
     HorizonWarning,
+    IndependenceResult,
     NcPolynomial,
     WordFactorView,
     contains_cube,
@@ -229,6 +235,90 @@ def test_dependency_is_a_real_relation(xy_view):
             for c, p in zip(res.dependency, polys):
                 combo = combo + p * c
             assert combo.is_zero()
+
+
+ORACLE_MONOMIALS = ("", "x", "y", "xx", "xy", "yx", "yy", "xxy")
+P = CERTIFICATE_PRIME
+# small rationals, multiples of the certificate prime and its neighbours, and
+# denominators that are the prime itself
+oracle_coefficients = st.builds(
+    Fraction,
+    st.one_of(st.integers(-3, 3), st.sampled_from([P, -P, 2 * P, P - 1, P + 1])),
+    st.sampled_from([1, 2, 3, P]),
+)
+
+
+def _assert_rank_matches_sympy(polys):
+    res = linear_independence(polys)
+    matrix = sympy.Matrix(
+        [[sympy.Rational(p.coeffs.get(w, 0)) for w in ORACLE_MONOMIALS] for p in polys]
+    )
+    rank = matrix.rank()
+    assert res.rank == rank
+    assert res.independent == (rank == len(polys))
+    if res.independent:
+        assert res.dependency is None
+    else:
+        assert next(c for c in res.dependency if c) == 1
+        combo = NcPolynomial.zero(polys[0].view)
+        for c, p in zip(res.dependency, polys):
+            combo = combo + p * c
+        assert combo.is_zero()
+    return res
+
+
+@given(
+    rows=st.lists(
+        st.dictionaries(st.sampled_from(ORACLE_MONOMIALS), oracle_coefficients, max_size=8),
+        min_size=1,
+        max_size=6,
+    ),
+    combine=st.lists(oracle_coefficients, max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_linear_independence_matches_sympy_rank(rows, combine):
+    view = FreeView("xy")
+    polys = [NcPolynomial(view, row) for row in rows]
+    if combine and len(polys) < 6:
+        # a row that really is a combination of the others
+        derived = NcPolynomial.zero(view)
+        for c, p in zip(combine, polys):
+            derived = derived + p * c
+        polys.append(derived)
+    _assert_rank_matches_sympy(polys)
+
+
+def _certificate_holds(polys):
+    col_of = {w: j for j, w in enumerate(sorted({w for p in polys for w in p.coeffs}))}
+    return monalg._full_rank_mod_p(polys, col_of)
+
+
+@pytest.mark.parametrize(
+    "literals, rank",
+    [
+        (["1*x", "2147483647*y"], 2),
+        (["1*x + 1*y", "1*x + 2147483648*y"], 2),
+        (["1*x + 1/2147483647*y", "1*y"], 2),
+        (["1*x + 1*y", "2147483647*x + 1*y", "2147483648*x + 2*y"], 2),
+        (["1*x + 1/2147483647*y", "3*y", "1*x + 1*y"], 2),
+    ],
+)
+def test_certificate_failure_falls_back_to_exact_rank(literals, rank):
+    view = FreeView("xy")
+    polys = [parse_poly_literal(view, t) for t in literals]
+    assert not _certificate_holds(polys)  # each system vanishes in rank mod p
+    res = _assert_rank_matches_sympy(polys)
+    assert res.rank == rank
+    if len(polys) > rank:
+        assert res.dependency is not None
+
+
+def test_certificate_holds_on_free_pattern_images():
+    view = FreeView("xy")
+    gens = [parse_poly_literal(view, "1*x + 1*y"), parse_poly_literal(view, "1*x + -1*y")]
+    images = pattern_images(view, gens, 4)
+    assert _certificate_holds(images)
+    assert linear_independence(images) == IndependenceResult(len(images), True, None)
 
 
 def test_rank_of_length_two_patterns_in_tilde_view(tilde_view):

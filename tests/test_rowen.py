@@ -295,6 +295,13 @@ def test_nilpotency_index_exceeds_truncation():
         nilpotency_index({"a": 1, "b": 1}, "a", 128, check_double=False, tm=_AllOnes())
 
 
+def test_nilpotency_index_checks_the_band_at_the_first_power():
+    # (abba)a maps to yxxyy, a Thue-Morse factor, so the first power is nonzero
+    # on the infinite word; at truncation 4 its band of 5 is cut off entirely
+    with pytest.raises(IndexExceedsTruncationError, match="k=1"):
+        nilpotency_index({"abba": 1}, "a", 4, margin=0, check_double=False)
+
+
 class _AllOnes(ThueMorseSequence):
     def bits(self, n):
         return np.ones(n, dtype=np.int64)

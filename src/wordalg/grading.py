@@ -24,6 +24,7 @@ from .words import (
     PrefixStream,
     analyze_morphism,
     check_weights,
+    encode,
     format_morphism_spec,
     incidence_matrix,
     is_prolongable,
@@ -70,12 +71,9 @@ class WeightSumSet:
 def weight_sum_prefix(stream: PrefixStream, weights, n: int) -> WeightSumSet:
     """Weight-sum set over the first ``n`` letters of the stream."""
     weights = check_weights(stream.alphabet, weights)
-    text = stream.prefix(n)
-    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-    table = np.zeros(max(ord(c) for c in stream.alphabet.letters) + 1, dtype=np.int64)
-    for c, w in zip(stream.alphabet.letters, weights):
-        table[ord(c)] = w
-    sums = np.concatenate(([0], np.cumsum(table[codes], dtype=np.int64)))
+    codes = encode(stream.prefix(n), stream.alphabet.letters)
+    sums = np.zeros(codes.size + 1, dtype=np.int64)
+    np.cumsum(np.array(weights, dtype=np.int64)[codes], out=sums[1:])
     return WeightSumSet(weights, sums)
 
 
@@ -92,15 +90,18 @@ def _longest_true_run(mask: np.ndarray) -> int:
     return int((ends - starts).max())
 
 
+def _residue_runs(sumset: WeightSumSet, difference: int) -> list[int]:
+    """Entry r: the longest AP of difference D inside the set among those that
+    are r mod D, for r < min(D, largest sum + 1); larger residues have none."""
+    present = sumset.present
+    return [_longest_true_run(present[r::difference]) for r in range(min(difference, present.size))]
+
+
 def longest_ap(sumset: WeightSumSet, difference: int) -> int:
     """Largest L such that t, t+D, ..., t+(L-1)D all lie in the set, exactly."""
     if difference < 1:
         raise ValueError("difference must be positive")
-    present = sumset.present
-    best = 0
-    for residue in range(min(difference, present.size)):
-        best = max(best, _longest_true_run(present[residue::difference]))
-    return best
+    return max(_residue_runs(sumset, difference))
 
 
 @dataclass(frozen=True)
@@ -120,12 +121,8 @@ def residue_profile(sumset: WeightSumSet, difference: int, ap_threshold: int) ->
         raise ValueError("difference must be at least 2")
     if ap_threshold < 1:
         raise ValueError("ap_threshold must be positive")
-    present = sumset.present
-    residues = tuple(
-        r
-        for r in range(difference)
-        if _longest_true_run(present[r::difference]) >= ap_threshold
-    )
+    runs = _residue_runs(sumset, difference)
+    residues = tuple(r for r, run in enumerate(runs) if run >= ap_threshold)
     if residues:
         gaps = tuple(
             residues[(k + 1) % len(residues)] - residues[k] + (difference if k + 1 == len(residues) else 0)
@@ -316,7 +313,9 @@ def graded_nilpotence_scan(stream: PrefixStream, weights, d_max: int, horizons) 
         raise ValueError("horizons must be increasing and nonempty")
     if d_max < 1:
         raise ValueError("d_max must be positive")
-    sumsets = [weight_sum_prefix(stream, weights, h) for h in horizons]
+    # the sums of a prefix are the head of the sums of any longer prefix
+    full = weight_sum_prefix(stream, weights, horizons[-1])
+    sumsets = [WeightSumSet(full.weights, full.sums[: h + 1]) for h in horizons]
     table: dict[int, tuple[int, ...]] = {}
     flagged = []
     for d in range(1, d_max + 1):

@@ -15,6 +15,7 @@ Primed companion letters are represented internally by the uppercase letter
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ from .monalg import (
     linear_independence,
     pattern_images,
 )
-from .words import Alphabet, Morphism, MorphicStream, PrefixStream, code_points, make_morphism
+from .words import PIECE_SIZE, Alphabet, Morphism, MorphicStream, PrefixStream, decode, encode, make_morphism
 
 ENUMERATION_ORDER = "sum-length-lex"
 
@@ -65,19 +66,13 @@ class UniversalSequence:
     def __init__(self):
         self._diffs = array("q")
         self._values = array("q", [0])
-        self._block_ends = [0]  # entry s: differences belonging to sums <= s
+        self._blocks = 0  # sum-blocks pulled so far
 
     def _pull(self):
-        diffs = _block_differences(len(self._block_ends))
+        self._blocks += 1
+        diffs = _block_differences(self._blocks)
         self._diffs.frombytes(diffs.tobytes())
         self._values.frombytes((np.cumsum(diffs) + self._values[-1]).tobytes())
-        self._block_ends.append(len(self._diffs))
-
-    def block_end(self, total: int) -> int:
-        """Number of differences that belong to the compositions of sums <= total."""
-        while len(self._block_ends) <= total:
-            self._pull()
-        return self._block_ends[total]
 
     def ensure_terms(self, count: int):
         """Materialize n_0 .. n_count."""
@@ -171,26 +166,30 @@ class InterleaveSpec:
 
 
 class InterleaveStream(PrefixStream):
-    """Prefixes of the interleaved word over the doubled alphabet, grown one
-    sum-block of segments of the universal sequence at a time."""
+    """Prefixes of the interleaved word over the doubled alphabet, grown
+    ``PIECE_SIZE`` letters at a time."""
 
     def __init__(self, spec: InterleaveSpec):
         super().__init__(spec.alphabet)
         self.spec = spec
-        self._sums = 0  # sum-blocks of segments emitted so far
-        self._table = str.maketrans(spec.mapping)
 
     def _grow(self) -> str:
         seq = self.spec.sequence
-        first = seq.block_end(self._sums)
-        self._sums += 1
-        last = seq.block_end(self._sums)
-        chunk = self.spec.base.slice(seq.value(first), seq.value(last))
-        # segment k holds n_k - n_{k-1} letters and is primed exactly for even k
-        even = np.arange(first + 1, last + 1) % 2 == 0
-        primed = np.repeat(even, np.array(seq._diffs[first:last], dtype=np.int64))
-        letters = np.where(primed, code_points(chunk.translate(self._table)), code_points(chunk))
-        return letters.tobytes().decode("utf-32-le")
+        lo, hi = self._length, self._length + PIECE_SIZE
+        while seq._values[-1] < hi:
+            seq._pull()
+        # position lo lies in segment k = #{j : n_j <= lo}; segment k is primed
+        # exactly for even k, and each cut point inside the piece flips that
+        first = bisect_right(seq._values, lo)
+        flips = np.zeros(hi - lo, dtype=np.uint8)
+        flips[0] = first % 2 == 0
+        flips[np.array(seq._values[first : bisect_left(seq._values, hi, first)]) - lo] = 1
+        primed = np.bitwise_xor.accumulate(flips)
+        base_letters = self.spec.base.alphabet.letters
+        codes = encode(self.spec.base.slice(lo, hi), base_letters)
+        # the doubled alphabet lists each primed companion |A| places after its letter
+        codes += primed * len(base_letters)
+        return decode(codes, self.alphabet.letters)
 
 
 def interleaved_prefix(spec: InterleaveSpec, n: int) -> str:

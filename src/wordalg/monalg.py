@@ -220,7 +220,8 @@ def substitute(view: AlgebraView, pattern: str, assignment: dict[str, NcPolynomi
 
 # ---------------------------------------------------------------------------
 # polynomial literals:  3*xy + -1*yx + 1*     (trailing bare `*` denotes the
-# empty monomial); whitespace-insensitive
+# empty monomial); whitespace-insensitive; a coefficient is an integer, n/d or
+# a plain decimal, never with an exponent
 
 
 def parse_poly_literal(view: AlgebraView, text: str) -> NcPolynomial:
@@ -232,6 +233,9 @@ def parse_poly_literal(view: AlgebraView, text: str) -> NcPolynomial:
         if "*" not in term:
             raise ValueError(f"bad term {term!r}: expected coeff*monomial")
         coeff_text, word = term.split("*", 1)
+        # Fraction would expand 1e1000000000 into a billion-digit integer
+        if "e" in coeff_text.lower():
+            raise ValueError(f"bad coefficient {coeff_text!r}: exponents are not accepted")
         try:
             coeff = Fraction(coeff_text)
         except ZeroDivisionError:

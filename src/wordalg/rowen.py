@@ -17,7 +17,7 @@ from math import lcm
 import numpy as np
 
 from .monalg import NcPolynomial
-from .words import FactorIndex, MorphicStream, PrefixStream, SuffixAutomaton, make_morphism
+from .words import FactorIndex, MorphicStream, PrefixStream, SuffixAutomaton, decode, make_morphism
 
 DEFAULT_MARGIN = 64
 
@@ -59,7 +59,7 @@ class ThueMorseSequence:
         return self._bits[:n]
 
     def word_prefix(self, n: int) -> str:
-        return np.where(self.bits(n), ord("y"), ord("x")).astype(np.uint8).tobytes().decode("ascii")
+        return decode(self.bits(n), WORD_LETTERS)  # each bit is the position of its letter
 
 
 THUE_MORSE = ThueMorseSequence()

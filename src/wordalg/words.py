@@ -1,9 +1,11 @@
 """Alphabets, finite words, substitution morphisms and their fixed points.
 
 Finite words are plain Python strings; every letter of an alphabet is a
-single character.  All matrix and counting arithmetic in this module is
-exact integer arithmetic (numpy is used only for 0/1 masks in the cube
-scanner and for the packed window codes of ``FactorIndex``).
+single character.  ``encode`` and ``decode`` are the one place where letters
+become numbers (positions in a letter tuple) and back.  All matrix and
+counting arithmetic in this module is exact integer arithmetic (numpy is used
+only for letter codes, 0/1 masks in the cube scanner and the packed window
+codes of ``FactorIndex``).
 """
 
 from __future__ import annotations
@@ -323,24 +325,48 @@ class PeriodicStream(PrefixStream):
 
 
 # ---------------------------------------------------------------------------
+# letter codes
+
+
+def encode(text: str, letters) -> np.ndarray:
+    """The uint8 position of each character of ``text`` in ``letters``.
+    Raises ValueError on any character outside ``letters``."""
+    if not 1 <= len(letters) <= 255:
+        raise ValueError("letter codes need between 1 and 255 letters")
+    points = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    # one spare slot past the largest letter: every foreign point lands on 255
+    table = np.full(max(map(ord, letters)) + 2, 255, dtype=np.uint8)
+    table[[ord(c) for c in letters]] = np.arange(len(letters))
+    codes = table.take(points, mode="clip")
+    if codes.size and codes.max() == 255:
+        foreign = text[int(np.argmax(codes == 255))]
+        raise ValueError(f"{foreign!r} is not a letter of {tuple(letters)!r}")
+    return codes
+
+
+def decode(codes: np.ndarray, letters) -> str:
+    """The text whose characters are ``letters[c]`` for each position c in ``codes``."""
+    points = np.array([ord(c) for c in letters], dtype=np.uint32)
+    return points[codes].tobytes().decode("utf-32-le")
+
+
+# ---------------------------------------------------------------------------
 # the short factors of a fixed prefix
 
 
 class FactorIndex:
     """The distinct factors of a fixed text over ``letters``, by length.
 
-    Letters are coded as uint8 positions in ``letters``.  Each length-k window
-    is packed into one unsigned integer in base max(|A|, 2), which is exact
-    while that base to the k is below 2^63 (``packed_limit``: 62, 31 and 18
-    for 2, 4 and 10 letters); the windows are sorted in place and the distinct
-    ones are decoded once into a cached ``frozenset``.  Longer words are
+    Letters are coded by ``encode``.  Each length-k window is packed into one
+    unsigned integer in base max(|A|, 2), which is exact while that base to
+    the k is below 2^63 (``packed_limit``: 62, 31 and 18 for 2, 4 and 10
+    letters); the windows are sorted in place and the distinct ones are
+    decoded once into a cached ``frozenset``.  Longer words are
     answered by substring search.  Absence only means "not seen in this text".
     """
 
     def __init__(self, text: str, letters):
         letters = tuple(letters)
-        if not 1 <= len(letters) <= 255:
-            raise ValueError("a factor index needs between 1 and 255 letters")
         self.text = text
         self.letters = letters
         self._base = max(len(letters), 2)
@@ -348,10 +374,7 @@ class FactorIndex:
         while self._base ** (limit + 1) < 2**63:
             limit += 1
         self.packed_limit = limit
-        coded = text.translate({ord(c): i for i, c in enumerate(letters)})
-        self._digits = np.frombuffer(coded.encode("latin-1", errors="replace"), dtype=np.uint8)
-        if self._digits.size and int(self._digits.max()) >= len(letters):
-            raise ValueError(f"text has a letter outside {letters!r}")
+        self._digits = encode(text, letters)
         self._sets: dict[int, frozenset[str]] = {0: frozenset({""})}
 
     def of_length(self, k: int) -> frozenset[str]:
@@ -379,13 +402,13 @@ class FactorIndex:
         first[0] = True
         np.not_equal(codes[1:], codes[:-1], out=first[1:])
         codes = codes[first]
-        # decode the last digit first into a (distinct, k) array of code points
-        points = np.array([ord(c) for c in self.letters], dtype=np.uint32)
-        chars = np.empty((codes.size, k), dtype=np.uint32)
+        # unpack the last digit first into a (distinct, k) array of positions
+        digits = np.empty((codes.size, k), dtype=np.uint8)
         for j in reversed(range(k)):
-            chars[:, j] = points[codes % self._base]
+            digits[:, j] = codes % self._base
             codes //= self._base
-        return frozenset(chars.view(f"<U{k}")[:, 0].tolist())
+        joined = decode(digits.ravel(), self.letters)
+        return frozenset(joined[i : i + k] for i in range(0, len(joined), k))
 
     def __contains__(self, word: str) -> bool:
         if len(word) <= self.packed_limit:
@@ -400,16 +423,12 @@ class CubeCheck:
     period: int | None = None
 
 
-def code_points(word: str) -> np.ndarray:
-    return np.frombuffer(word.encode("utf-32-le"), dtype=np.uint32)
-
-
 def is_cube_free(word: str) -> CubeCheck:
     """True iff no nonempty u has uuu as a factor; otherwise the first violation."""
     n = len(word)
     if n < 3:
         return CubeCheck(True)
-    arr = code_points(word)
+    arr = np.frombuffer(word.encode("utf-32-le"), dtype=np.uint32)  # equal letters, equal codes
     best: tuple[int, int] | None = None
     for p in range(1, n // 3 + 1):
         eq = arr[:-p] == arr[p:]

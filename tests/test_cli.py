@@ -141,6 +141,24 @@ def test_free_command_zero_denominator_exits_two(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_free_command_rejects_coefficient_exponents(capsys):
+    # 1e1000000000 would otherwise become a billion-digit integer
+    for gens in ("1e1000000000*x", "2E3*x", "1/2*x + 1.5e-3*y"):
+        code = run(["free", "--view", "free", "--letters", "xy", "--gens", gens, "--Lfree", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "exponent" in captured.err
+
+
+def test_free_command_coefficient_forms(capsys):
+    code = run(["free", "--view", "free", "--letters", "xy", "--gens", "3*x + -1/2*y;1.5*x + .25*y", "--Lfree", "1"])
+    out, rec = _record(capsys)
+    assert code == 0
+    assert rec["generators"] == "3*x + -1/2*y; 3/2*x + 1/4*y"
+
+
 # literals from a small grammar that mixes well-formed terms with the usual
 # mistakes: zero denominators, nan, stray `*`, foreign letters and primes
 fuzz_coefficients = st.sampled_from(["1", "-1", "2", "1/2", "0", "1/0", "nan", "", "-", "2147483647"])

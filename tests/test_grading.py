@@ -286,6 +286,15 @@ def test_scan_flags_unit_weights(xy_stream):
     assert 1 in report.flagged  # the sum set is all of 0..n
 
 
+@pytest.mark.parametrize("weights, horizons", [((1, 2), (0, 1, 17, 1000, 1000)), ((2, 3), (10, 5_000, 20_000))])
+def test_scan_reads_each_horizon_as_a_head_of_one_build(tm_morphism, weights, horizons):
+    stream = MorphicStream(tm_morphism, "x")
+    report = graded_nilpotence_scan(stream, weights, 5, horizons)
+    for d in range(1, 6):
+        separate = tuple(longest_ap(weight_sum_prefix(stream, weights, h), d) for h in horizons)
+        assert report.table[d] == separate
+
+
 def test_scan_validates_horizons(xy_stream):
     with pytest.raises(ValueError):
         graded_nilpotence_scan(xy_stream, (1, 2), 4, (1000, 100))

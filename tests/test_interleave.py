@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wordalg import interleave
 from wordalg.grading import weight_sum_prefix
 from wordalg.interleave import (
     BASE_START,
@@ -25,7 +26,7 @@ from wordalg.interleave import (
     unprime,
 )
 from wordalg.monalg import HorizonWarning
-from wordalg.words import Alphabet, MorphicStream
+from wordalg.words import PIECE_SIZE, Alphabet, MorphicStream
 
 
 # -- the enumeration oracle: re-derive the (sum, length, lex) order from scratch
@@ -189,6 +190,29 @@ def test_interleave_stream_matches_per_segment_build(lengths):
     stream = InterleaveStream(InterleaveSpec(base, UniversalSequence()))
     for n in sorted(lengths):
         assert stream.prefix(n) == NAIVE_INTERLEAVED[:n]
+
+
+@pytest.mark.parametrize("piece_size", [1, 7, 4_096])
+def test_interleave_stream_pieces_match_per_segment_build(piece_size, monkeypatch):
+    # pieces that end inside segments, on cut points and inside sum-blocks
+    monkeypatch.setattr(interleave, "PIECE_SIZE", piece_size)
+    base = MorphicStream(base_morphism(), BASE_START)
+    stream = InterleaveStream(InterleaveSpec(base, UniversalSequence()))
+    step = 1 if piece_size == 1 else 97
+    for n in range(0, min(len(NAIVE_INTERLEAVED), 300 * piece_size), step):
+        assert stream.prefix(n) == NAIVE_INTERLEAVED[:n]
+    assert stream.prefix(len(NAIVE_INTERLEAVED)) == NAIVE_INTERLEAVED
+
+
+def test_interleave_stream_builds_about_what_is_asked():
+    # at most one piece past the request, of the interleaved and of the base word
+    base = MorphicStream(base_morphism(), BASE_START)
+    longest = max(len(image) for image in base_morphism().images.values())
+    stream = InterleaveStream(InterleaveSpec(base, UniversalSequence()))
+    for n in (1, 5, 18, 70_001, 1_000_000, 4_000_000):
+        stream.prefix(n)
+        assert stream._length <= n + PIECE_SIZE
+        assert base._length <= n + PIECE_SIZE * (1 + longest)
 
 
 def test_interleaved_prefix_unprimes_to_base(xy_stream, tilde_stream):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,8 @@ from wordalg.words import (
     PeriodicStream,
     SuffixAutomaton,
     analyze_morphism,
+    decode,
+    encode,
     exact_det,
     fixed_point_prefix,
     incidence_matrix,
@@ -311,10 +314,39 @@ def test_factor_index_matches_naive_slice_sets(data):
 
 
 def test_factor_index_rejects_foreign_letters():
+    # a control character must not pass for the letter at its code point
+    # ("\x01" read as y made xy and yx factors of x\x01x)
+    for text in ("xyz", "x\u2192", "x\x01x", "\x00"):
+        with pytest.raises(ValueError):
+            FactorIndex(text, "xy")
+
+
+# -- letter codes ---------------------------------------------------------------
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_encode_decode_round_trip(data):
+    letters = data.draw(st.sampled_from(["x", "yx", "xyXY", "xy\u2192Y", "0123456789"]))
+    text = data.draw(st.text(alphabet=letters, max_size=100))
+    codes = encode(text, letters)
+    assert codes.dtype == np.uint8
+    assert codes.tolist() == [letters.index(c) for c in text]
+    assert decode(codes, letters) == text
+
+
+@pytest.mark.parametrize("text", ["z", "xyz", "\x00", "x\x01", "\u2192", "\U0001f600x"])
+def test_encode_rejects_foreign_letters(text):
     with pytest.raises(ValueError):
-        FactorIndex("xyz", "xy")
-    with pytest.raises(ValueError):
-        FactorIndex("x\u2192", "xy")
+        encode(text, "xy")
+
+
+def test_encode_needs_between_1_and_255_letters():
+    many = [chr(0x100 + i) for i in range(256)]
+    assert decode(encode(many[-2], many[:-1]), many[:-1]) == many[-2]
+    for letters in ("", many):
+        with pytest.raises(ValueError):
+            encode("", letters)
 
 
 # -- cube-freeness --------------------------------------------------------------

@@ -291,7 +291,8 @@ class ScanReport:
     weights: tuple[int, ...]
     horizons: tuple[int, ...]
     table: dict[int, tuple[int, ...]] = field(repr=False)
-    flagged: tuple[int, ...] = ()
+    flagged: tuple[int, ...]
+    sums: WeightSumSet = field(repr=False, compare=False)  # at the largest horizon
 
     def to_record(self) -> dict[str, str]:
         rec = {
@@ -323,4 +324,4 @@ def graded_nilpotence_scan(stream: PrefixStream, weights, d_max: int, horizons) 
         table[d] = lengths
         if lengths[-1] > GROWTH_RATIO * lengths[0] and lengths[-1] > GROWTH_FLOOR:
             flagged.append(d)
-    return ScanReport(tuple(weights), horizons, table, tuple(flagged))
+    return ScanReport(tuple(weights), horizons, table, tuple(flagged), full)

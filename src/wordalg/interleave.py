@@ -33,7 +33,7 @@ from .monalg import (
     WordFactorView,
     freeness_check,
     linear_independence,
-    pattern_images,
+    pattern_images,  # unused here; kept because perfbench/spans.py wraps it under this name
 )
 from .words import PIECE_SIZE, Alphabet, Morphism, MorphicStream, PrefixStream, decode, encode, make_morphism
 
@@ -271,9 +271,9 @@ def construction_pipeline(
     horizons = (max(horizon // 10, 10), horizon)
     scan = graded_nilpotence_scan(tilde, weights, d_max, horizons)
 
-    tilde_sums = weight_sum_prefix(tilde, weights, horizon)
+    # the scan's sums are those of the tilde prefix at the full horizon
     base_sums = weight_sum_prefix(base_stream, BASE_WEIGHTS, horizon)
-    sums_equal = bool(np.array_equal(tilde_sums.sums, base_sums.sums))
+    sums_equal = bool(np.array_equal(scan.sums.sums, base_sums.sums))
 
     view = WordFactorView(tilde, horizon)
     x, y = spec.base.alphabet.letters
@@ -282,7 +282,7 @@ def construction_pipeline(
         NcPolynomial(view, {spec.mapping[x]: 1, spec.mapping[y]: 1}),
     ]
     freeness = freeness_check(view, gens, free_pattern_length)
-    with_identity = [NcPolynomial.one(view)] + pattern_images(view, gens, free_pattern_length)
+    with_identity = [NcPolynomial.one(view), *freeness.images]
     rank_with_identity = linear_independence(with_identity).rank
 
     return PipelineReport(

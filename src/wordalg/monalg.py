@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -352,6 +352,7 @@ class FreenessReport:
     rank: int
     independent: bool
     dependency: tuple[Fraction, ...] | None
+    images: tuple[NcPolynomial, ...] = field(repr=False, compare=False)  # the rank's rows
 
     def to_record(self) -> dict[str, str]:
         return {
@@ -405,6 +406,7 @@ def freeness_check(view: AlgebraView, gens, max_len: int) -> FreenessReport:
         rank=result.rank,
         independent=result.independent,
         dependency=result.dependency,
+        images=tuple(images),
     )
 
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 import numpy as np
 
 from .monalg import NcPolynomial
-from .words import FactorIndex, MorphicStream, PrefixStream, SuffixAutomaton, decode, make_morphism
+from .words import MorphicStream, PrefixStream, covering_words, decode, exact_factor_counts, make_morphism
 
 DEFAULT_MARGIN = 64
 
@@ -265,13 +266,20 @@ def coefficient(word: str, t: int) -> int:
     return int(all(thue_morse_bit(t + j) == (ch == "y") for j, ch in enumerate(word)))
 
 
-def vanishing_matches_factor(word: str, n: int, horizon: int, margin: int = DEFAULT_MARGIN) -> bool:
+def _tm_factor_text(max_len: int) -> str:
+    """The covering words of the Thue-Morse word for lengths <= max_len, joined
+    by a space, which is no letter: a word over {x, y} of length <= max_len is
+    a factor of the Thue-Morse word iff it occurs in this text."""
+    return " ".join(covering_words(tm_word_stream(), max_len))
+
+
+def vanishing_matches_factor(word: str, n: int, margin: int = DEFAULT_MARGIN) -> bool:
     """True when "the evaluated word is zero" agrees with "the word is not a
-    factor of the Thue-Morse word within the horizon"."""
+    factor of the Thue-Morse word"."""
     if not word:
         raise ValueError("word must be nonempty")
     zero = evaluate_word(word, n, margin).is_zero()
-    return zero == (word not in THUE_MORSE.word_prefix(horizon))
+    return zero == (word not in _tm_factor_text(len(word)))
 
 
 @dataclass(frozen=True)
@@ -290,15 +298,16 @@ class CorrespondenceReport:
 def correspondence_scan(
     max_len: int, n: int, horizon: int, margin: int = DEFAULT_MARGIN
 ) -> CorrespondenceReport:
-    """Compare zero-evaluation with factor-set absence for every word of length
-    <= max_len, reusing parent products along the word tree."""
+    """Compare zero-evaluation with factor absence for every word of length
+    <= max_len, reusing parent products along the word tree.  Factors are
+    exact; ``horizon`` is only recorded in the report."""
     if max_len < 1:
         raise ValueError("max_len must be positive")
     if n <= max_len + margin:
         raise MarginTooSmallError(f"need truncation > {max_len + margin}")
     bits = THUE_MORSE.bits(n - 1)
     letter_vecs = {"y": bits, "x": 1 - bits}
-    index = FactorIndex(THUE_MORSE.word_prefix(horizon), WORD_LETTERS)
+    factors = _tm_factor_text(max_len)
     checked = 0
     mismatches = []
     stack = [("", np.ones(n - 1, dtype=np.int64))]
@@ -311,7 +320,7 @@ def correspondence_scan(
             cvec = vec[: n - length - 1] * letter_vecs[ch][length : n - 1]
             zero = not cvec.any()
             checked += 1
-            if zero != (child not in index):
+            if zero != (child not in factors):
                 mismatches.append(child)
             if length + 1 < max_len:
                 stack.append((child, cvec))
@@ -468,7 +477,12 @@ RATIO_BAND = (3.5, 4.5)
 
 def growth_profile(n_values, horizon: int, stream: PrefixStream | None = None) -> GrowthProfile:
     """Cumulative distinct-factor counts with the quadratic-band check: for each n
-    in the sample, cumulative(2n)/cumulative(n) must lie in [3.5, 4.5]."""
+    in the sample, cumulative(2n)/cumulative(n) must lie in [3.5, 4.5].
+
+    The counts are exact (``exact_factor_counts``), so the stream must be the
+    fixed point of a primitive morphism or periodic; it defaults to the
+    Thue-Morse word.  ``horizon`` does not bound them; it is still checked,
+    so every input keeps its exit code."""
     n_values = tuple(int(v) for v in n_values)
     if not n_values or any(v < 1 for v in n_values):
         raise ValueError("n_values must be positive")
@@ -477,13 +491,7 @@ def growth_profile(n_values, horizon: int, stream: PrefixStream | None = None) -
         raise ValueError("horizon too small for complexity stabilization at max n")
     if stream is None:
         stream = tm_word_stream()
-    automaton = SuffixAutomaton(stream.prefix(horizon))
-    counts = automaton.factor_counts(max_needed)
-    cumsum = []
-    total = 0
-    for c in counts:
-        total += c
-        cumsum.append(total)
+    cumsum = list(accumulate(exact_factor_counts(stream, max_needed)))
     cumulative = tuple(cumsum[v] for v in n_values)
     doubled = tuple(cumsum[2 * v] for v in n_values)
     ratios = tuple(d / c for c, d in zip(cumulative, doubled))

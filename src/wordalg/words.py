@@ -10,6 +10,7 @@ codes of ``FactorIndex``).
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -416,6 +417,68 @@ class FactorIndex:
         return self.text.find(word) >= 0
 
 
+# ---------------------------------------------------------------------------
+# the exact factor language of a primitive morphic or periodic word
+
+
+def covering_words(stream: PrefixStream, k: int) -> list[str]:
+    """Short words whose factors of length <= k are exactly the factors of
+    length <= k of the stream's infinite word.  Builds no prefix.
+
+    For the fixed point of a primitive morphism f, every factor of length
+    <= k lies in f^j(ac) for a 2-factor ac of the word, once every
+    |f^j(letter)| >= k; the 2-factors are those of f(start), closed under
+    adding the 2-factors of f(ac) (uniform recurrence; Allouche & Shallit,
+    *Automatic Sequences*, ch. 7 and 10).  For a periodic word u^ω, every
+    factor of length <= k lies in u repeated ceil(k/|u|) + 1 times.  Any
+    other stream raises ValueError.
+    """
+    if k < 0:
+        raise ValueError("length must be nonnegative")
+    if isinstance(stream, PeriodicStream):
+        period = stream.period
+        return [period * (-(-k // len(period)) + 1)]
+    # a prolongable morphism fixes its start letter, so its incidence matrix
+    # has a positive diagonal entry and is_primitive's reachability test is exact
+    if not isinstance(stream, MorphicStream) or not is_primitive(stream.morphism):
+        raise ValueError("exact factors need a periodic word or the fixed point of a primitive morphism")
+    m = stream.morphism
+
+    def two_factors(word: str) -> set[str]:
+        return {word[i : i + 2] for i in range(len(word) - 1)}
+
+    pairs: set[str] = set()
+    new = two_factors(m.images[stream.start])
+    while new:
+        pairs |= new
+        new = set().union(*(two_factors(m.apply(ac)) for ac in new)) - pairs
+    lengths = dict.fromkeys(m.alphabet.letters, 1)  # |f^j(letter)|
+    j = 0
+    while min(lengths.values()) < k:
+        lengths = {c: sum(lengths[d] for d in m.images[c]) for c in lengths}
+        j += 1
+    return [m.iterate(ac, j) for ac in sorted(pairs)]
+
+
+def exact_factor_counts(stream: PrefixStream, k: int) -> list[int]:
+    """counts[L] = number of distinct factors of length L of the stream's
+    infinite word, for L = 0..k, read from ``covering_words``.
+
+    The covering words are joined, each followed by its own separator (an
+    int, so never a letter), and counted by one ``SuffixAutomaton``.  A
+    window that holds a separator is unlike every other window, so the
+    factors of the words alone are the automaton's count minus the number of
+    windows that hold a separator.
+    """
+    texts = covering_words(stream, k)
+    joined = [s for i, w in enumerate(texts) for s in (*w, i)]
+    counts = SuffixAutomaton(joined).factor_counts(k)
+    for length in range(1, k + 1):
+        inside_words = sum(max(len(w) - length + 1, 0) for w in texts)
+        counts[length] -= len(joined) - length + 1 - inside_words
+    return counts
+
+
 @dataclass(frozen=True)
 class CubeCheck:
     is_cube_free: bool
@@ -462,7 +525,8 @@ def recurrence_gap(stream: PrefixStream, factor: str, horizon: int) -> int:
 
 
 class SuffixAutomaton:
-    """Online index of all factors of a word.
+    """Online index of all factors of a word: a text, or any sequence of
+    hashable symbols.
 
     Gives distinct-factor counts for every length at once; results agree with
     naive scanning by construction.
@@ -470,15 +534,15 @@ class SuffixAutomaton:
 
     __slots__ = ("link", "length", "trans", "last")
 
-    def __init__(self, text: str = ""):
+    def __init__(self, text: Iterable[Hashable] = ""):
         self.link = [-1]
         self.length = [0]
-        self.trans: list[dict[str, int]] = [{}]
+        self.trans: list[dict[Hashable, int]] = [{}]
         self.last = 0
         for ch in text:
             self.extend(ch)
 
-    def extend(self, ch: str):
+    def extend(self, ch: Hashable):
         cur = len(self.length)
         self.length.append(self.length[self.last] + 1)
         self.link.append(-1)

@@ -178,7 +178,10 @@ fuzz_literals = st.lists(fuzz_terms, max_size=3).map(" + ".join)
 )
 @settings(max_examples=100, deadline=None)
 def test_free_command_fuzzed_argv_never_escapes(view, letters, gens, lfree):
-    argv = ["free", "--view", view, "--letters", letters, "--gens", gens, "--Lfree", str(lfree)]
+    _assert_never_escapes(["free", "--view", view, "--letters", letters, "--gens", gens, "--Lfree", str(lfree)])
+
+
+def _assert_never_escapes(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = run(argv)
@@ -229,6 +232,58 @@ def test_growth_command(capsys):
     out, rec = _record(capsys)
     assert code == 0
     assert rec["quadratic"] == "true"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--horizon", "0", "--maxlen", "2"],
+    ["--horizon", "5", "--maxlen", "3"],
+    ["--horizon", "0", "--word", "abba"],
+])
+def test_rowen_command_short_horizon_is_exact(argv, capsys):
+    code = run(["rowen", *argv])
+    out, rec = _record(capsys)
+    assert code == 0
+    assert rec.get("correspondence_mismatches", "0") == "0"
+    assert rec.get("word_matches_factor_rule", "true") == "true"
+
+
+def test_growth_command_empty_period_exits_two(capsys):
+    assert run(["growth", "--periodic", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: period must be nonempty\n"
+
+
+fuzz_periods = st.one_of(st.none(), st.text(alphabet="xy →é\x00", max_size=4))
+fuzz_csv = st.one_of(
+    st.lists(st.integers(-2, 64), max_size=3).map(lambda v: ",".join(map(str, v))),
+    st.sampled_from(["", ",", "a", "1,,2", " 8"]),
+)
+
+
+@given(nvalues=fuzz_csv, horizon=st.integers(-10, 10_000), period=fuzz_periods)
+@settings(max_examples=100, deadline=None)
+def test_growth_command_fuzzed_argv_never_escapes(nvalues, horizon, period):
+    argv = ["growth", "--nvalues", nvalues, "--horizon", str(horizon)]
+    if period is not None:
+        argv += ["--periodic", period]
+    _assert_never_escapes(argv)
+
+
+@given(
+    n=st.integers(-2, 256),
+    horizon=st.integers(-10, 10_000),
+    maxlen=st.integers(-1, 6),
+    margin=st.integers(-3, 70),
+    word=st.one_of(st.none(), st.text(alphabet="abx ", max_size=5)),
+)
+@settings(max_examples=100, deadline=None)
+def test_rowen_command_fuzzed_argv_never_escapes(n, horizon, maxlen, margin, word):
+    argv = ["rowen", "--N", str(n), "--horizon", str(horizon), "--maxlen", str(maxlen),
+            "--margin", str(margin)]
+    if word is not None:
+        argv += ["--word", word]
+    _assert_never_escapes(argv)
 
 
 def test_growth_command_periodic_control(capsys):

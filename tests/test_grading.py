@@ -293,6 +293,7 @@ def test_scan_reads_each_horizon_as_a_head_of_one_build(tm_morphism, weights, ho
     for d in range(1, 6):
         separate = tuple(longest_ap(weight_sum_prefix(stream, weights, h), d) for h in horizons)
         assert report.table[d] == separate
+    assert np.array_equal(report.sums.sums, weight_sum_prefix(stream, weights, horizons[-1]).sums)
 
 
 def test_scan_validates_horizons(xy_stream):

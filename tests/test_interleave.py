@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordalg import interleave
+from wordalg import grading, interleave, monalg
 from wordalg.grading import weight_sum_prefix
 from wordalg.interleave import (
     BASE_START,
@@ -301,6 +301,27 @@ def test_pipeline_small_horizon():
     record = report.to_record()
     assert record["all_clear"] == "true"
     assert record["certificate_verdict"] == "CERTIFIED"
+
+
+def test_pipeline_builds_each_sum_set_and_the_images_once(monkeypatch):
+    calls = {"weight_sum_prefix": [], "pattern_images": []}
+    for module in (grading, interleave, monalg):
+        for name, log in calls.items():
+            if hasattr(module, name):
+                original = getattr(module, name)
+
+                def logged(*args, _original=original, _log=log):
+                    _log.append(args)
+                    return _original(*args)
+
+                monkeypatch.setattr(module, name, logged)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HorizonWarning)
+        report = construction_pipeline(horizon=20_000, free_pattern_length=3, d_max=4)
+    # the interleaved word's sums once (inside the scan), the base word's once
+    assert [type(args[0]) for args in calls["weight_sum_prefix"]] == [InterleaveStream, MorphicStream]
+    assert len(calls["pattern_images"]) == 1
+    assert report.rank_with_identity == 15
 
 
 def test_pipeline_rejects_tiny_horizon():

@@ -209,9 +209,9 @@ def test_coefficient_equals_matrix_entry():
 def test_vanishing_matches_factor_examples():
     from wordalg.rowen import vanishing_matches_factor
 
-    assert vanishing_matches_factor("yxx", 1024, 10_000)
-    assert vanishing_matches_factor("yyy", 1024, 10_000)
-    assert vanishing_matches_factor("y", 1024, 10_000)
+    assert vanishing_matches_factor("yxx", 1024)
+    assert vanishing_matches_factor("yyy", 1024)
+    assert vanishing_matches_factor("y", 1024)
 
 
 def test_correspondence_scan_small():
@@ -367,3 +367,16 @@ def test_growth_profile_periodic_control():
 def test_growth_profile_validates_horizon():
     with pytest.raises(ValueError):
         growth_profile((64,), 100)
+
+
+def test_growth_profile_builds_no_prefix():
+    for stream in (tm_word_stream(), PeriodicStream("xy")):
+        before = stream._length
+        growth_profile((64, 128), 100_000, stream=stream)
+        assert stream._length == before
+
+
+def test_correspondence_scan_does_not_depend_on_the_horizon():
+    for horizon in (0, 5, 10_000):
+        report = correspondence_scan(4, 512, horizon)
+        assert report.all_agree and report.horizon == horizon

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,14 +15,17 @@ from wordalg.words import (
     PeriodicStream,
     SuffixAutomaton,
     analyze_morphism,
+    covering_words,
     decode,
     encode,
     exact_det,
+    exact_factor_counts,
     fixed_point_prefix,
     incidence_matrix,
     is_cube_free,
     is_primitive,
     is_prolongable,
+    load_morphism_file,
     make_morphism,
     mat_vec,
     mortal_letters,
@@ -408,6 +413,63 @@ def test_automaton_agrees_with_naive_counts(n, tm_stream):
     automaton = SuffixAutomaton(text)
     naive = len({text[i : i + n] for i in range(len(text) - n + 1)}) if n else 1
     assert automaton.factor_counts(n)[n] == naive
+
+
+# -- exact factor counts ---------------------------------------------------------
+
+MORPHISM_SPECS = sorted((Path(__file__).resolve().parent.parent / "morphisms").glob("*.morph"))
+
+
+def _naive_counts(text, k):
+    return [len({text[i : i + n] for i in range(len(text) - n + 1)}) for n in range(k + 1)]
+
+
+def _thue_morse_complexity(n):
+    """Brlek (1989); de Luca & Varricchio (1989): for n >= 3 write
+    n - 1 = 2^r + q with 0 < q <= 2^r."""
+    if n < 3:
+        return (1, 2, 4)[n]
+    r = (n - 2).bit_length() - 1
+    q = n - 1 - 2**r
+    return 3 * 2**r + 4 * q if 2 * q <= 2**r else 4 * 2**r + 2 * q
+
+
+@pytest.mark.parametrize("spec", MORPHISM_SPECS, ids=lambda p: p.stem)
+def test_exact_counts_match_automaton_on_every_bundled_spec(spec):
+    m, _ = load_morphism_file(spec)
+    starts = [c for c in m.alphabet.letters if is_prolongable(m, c)]
+    assert starts
+    for start in starts:
+        stream = MorphicStream(m, start)
+        exact = exact_factor_counts(stream, 48)
+        assert exact == SuffixAutomaton(stream.prefix(100_000)).factor_counts(48)
+
+
+@given(period=st.text(alphabet="xyz", min_size=1, max_size=7), k=st.integers(0, 20))
+@settings(max_examples=60, deadline=None)
+def test_exact_counts_of_periodic_words_match_naive_counts(period, k):
+    text = period * (k + 2)
+    assert exact_factor_counts(PeriodicStream(period), k) == _naive_counts(text, k)
+
+
+def test_exact_counts_match_the_thue_morse_closed_form(tm_stream):
+    counts = exact_factor_counts(tm_stream, 1024)
+    assert counts == [_thue_morse_complexity(n) for n in range(1025)]
+    assert counts[:8] == [1, 2, 4, 6, 10, 12, 16, 20]
+
+
+def test_covering_words_are_factors_of_the_word(sub_xyz):
+    text = MorphicStream(sub_xyz, "x").prefix(100_000)
+    words_ = covering_words(MorphicStream(sub_xyz, "x"), 16)
+    assert words_ and all(w in text for w in words_)
+
+
+def test_exact_counts_need_a_primitive_morphism_or_a_period():
+    # |f^k(y)| stays 1, so no power of f covers the factors of length 2
+    with pytest.raises(ValueError):
+        exact_factor_counts(MorphicStream(make_morphism("xy", x="xy", y="y"), "x"), 4)
+    with pytest.raises(ValueError):
+        exact_factor_counts(words.PrefixStream(Alphabet(("x",))), 4)
 
 
 # -- spec files ----------------------------------------------------------------

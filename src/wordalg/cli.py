@@ -34,11 +34,20 @@ def _load_morphism(args) -> tuple[words.Morphism, tuple[int, ...] | None]:
 
 def _pick_start(morphism: words.Morphism, start: str | None) -> str:
     if start:
+        morphism.alphabet.index(start)  # a foreign letter is a usage error
         return start
     for c in morphism.alphabet.letters:
         if words.is_prolongable(morphism, c):
             return c
     raise ValueError("morphism is not prolongable on any letter; give --start")
+
+
+def _nonnegative(text: str) -> int:
+    """argparse type for a size: a negative one is a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 PRIME_MARK = "'"
@@ -218,8 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="graded-nilpotence certificate for a weighted morphic word")
     add_spec(p)
     p.add_argument("--u", help="explicit decomposition prefix (defaults to the shortest one found)")
-    p.add_argument("--jmax", type=int, default=grading.DEFAULT_GCD_TERMS, help="gcd sequence length cap")
-    p.add_argument("--horizon", type=int, default=grading.DEFAULT_DECOMPOSITION_HORIZON)
+    p.add_argument("--jmax", type=_nonnegative, default=grading.DEFAULT_GCD_TERMS, help="gcd sequence length cap")
+    p.add_argument("--horizon", type=_nonnegative, default=grading.DEFAULT_DECOMPOSITION_HORIZON)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("scan", help="longest-AP table of the weight-sum set per difference and horizon")
@@ -250,9 +259,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rowen", help="Thue-Morse operator checks: identities, nilpotency, vanishing")
     p.add_argument("--N", type=int, default=4096, help="truncation size")
-    p.add_argument("--horizon", type=int, default=100_000)
-    p.add_argument("--maxlen", type=int, default=8, help="word length cap for the correspondence scan")
-    p.add_argument("--margin", type=int, default=rowen.DEFAULT_MARGIN)
+    p.add_argument("--horizon", type=_nonnegative, default=100_000)
+    p.add_argument("--maxlen", type=int, default=8, help="word length cap for the correspondence scan (at most 62)")
+    p.add_argument("--margin", type=_nonnegative, default=rowen.DEFAULT_MARGIN)
     p.add_argument("--word", help="single word over {a,b} to evaluate instead of the full scan")
     p.set_defaults(func=_cmd_rowen)
 

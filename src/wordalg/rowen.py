@@ -18,7 +18,7 @@ from math import lcm
 import numpy as np
 
 from .monalg import NcPolynomial
-from .words import MorphicStream, PrefixStream, covering_words, decode, exact_factor_counts, make_morphism
+from .words import FactorIndex, MorphicStream, PrefixStream, covering_words, decode, exact_factor_counts, make_morphism
 
 DEFAULT_MARGIN = 64
 
@@ -266,20 +266,24 @@ def coefficient(word: str, t: int) -> int:
     return int(all(thue_morse_bit(t + j) == (ch == "y") for j, ch in enumerate(word)))
 
 
-def _tm_factor_text(max_len: int) -> str:
-    """The covering words of the Thue-Morse word for lengths <= max_len, joined
-    by a space, which is no letter: a word over {x, y} of length <= max_len is
-    a factor of the Thue-Morse word iff it occurs in this text."""
-    return " ".join(covering_words(tm_word_stream(), max_len))
+def _vanishing_factor(word: str, n: int) -> MarginTooSmallError:
+    return MarginTooSmallError(
+        f"{word} is a factor of the Thue-Morse word but vanishes at truncation {n}: "
+        "it first occurs past the truncation"
+    )
 
 
 def vanishing_matches_factor(word: str, n: int, margin: int = DEFAULT_MARGIN) -> bool:
-    """True when "the evaluated word is zero" agrees with "the word is not a
-    factor of the Thue-Morse word"."""
+    """True when the evaluated word is zero exactly when the word is not a
+    factor of the Thue-Morse word.  A factor that is zero first occurs past
+    the truncation, which raises MarginTooSmallError."""
     if not word:
         raise ValueError("word must be nonempty")
     zero = evaluate_word(word, n, margin).is_zero()
-    return zero == (word not in _tm_factor_text(len(word)))
+    factor = word in FactorIndex(covering_words(tm_word_stream(), len(word)), WORD_LETTERS)
+    if zero and factor:
+        raise _vanishing_factor(word, n)
+    return zero != factor
 
 
 @dataclass(frozen=True)
@@ -299,31 +303,26 @@ def correspondence_scan(
     max_len: int, n: int, horizon: int, margin: int = DEFAULT_MARGIN
 ) -> CorrespondenceReport:
     """Compare zero-evaluation with factor absence for every word of length
-    <= max_len, reusing parent products along the word tree.  Factors are
-    exact; ``horizon`` is only recorded in the report."""
-    if max_len < 1:
-        raise ValueError("max_len must be positive")
+    <= max_len.  Entry t of a word's band is the product of its letters read
+    at bits t+1, t+2, ..., so the nonzero words of length L are the length-L
+    windows of the first n-1 bits; the factors are exact (``covering_words``).
+    A nonzero word that is not a factor is a mismatch; a factor that is zero
+    raises MarginTooSmallError.  ``horizon`` is only recorded in the report."""
+    limit = FactorIndex("", WORD_LETTERS).packed_limit
+    if not 1 <= max_len <= limit:
+        raise ValueError(f"max_len must be between 1 and {limit}, got {max_len}")
     if n <= max_len + margin:
         raise MarginTooSmallError(f"need truncation > {max_len + margin}")
-    bits = THUE_MORSE.bits(n - 1)
-    letter_vecs = {"y": bits, "x": 1 - bits}
-    factors = _tm_factor_text(max_len)
-    checked = 0
+    nonzero = FactorIndex(THUE_MORSE.word_prefix(n - 1), WORD_LETTERS)
+    factors = FactorIndex(covering_words(tm_word_stream(), max_len), WORD_LETTERS)
     mismatches = []
-    stack = [("", np.ones(n - 1, dtype=np.int64))]
-    while stack:
-        word, vec = stack.pop()
-        length = len(word)
-        for ch in ("x", "y"):
-            child = word + ch
-            # entry t of the child diagonal is parent[t] * bit(t + length)
-            cvec = vec[: n - length - 1] * letter_vecs[ch][length : n - 1]
-            zero = not cvec.any()
-            checked += 1
-            if zero != (child not in factors):
-                mismatches.append(child)
-            if length + 1 < max_len:
-                stack.append((child, cvec))
+    for length in range(1, max_len + 1):
+        seen, exact = nonzero.of_length(length), factors.of_length(length)
+        vanishing = exact - seen
+        if vanishing:
+            raise _vanishing_factor(min(vanishing), n)
+        mismatches += sorted(seen - exact)
+    checked = 2 ** (max_len + 1) - 2
     return CorrespondenceReport(max_len, n, horizon, checked, tuple(mismatches))
 
 

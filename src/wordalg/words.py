@@ -356,30 +356,32 @@ def decode(codes: np.ndarray, letters) -> str:
 
 
 class FactorIndex:
-    """The distinct factors of a fixed text over ``letters``, by length.
+    """The distinct factors of one fixed text over ``letters``, or of several
+    (the union of their factors; no window crosses from one text into the
+    next), by length.
 
     Letters are coded by ``encode``.  Each length-k window is packed into one
     unsigned integer in base max(|A|, 2), which is exact while that base to
     the k is below 2^63 (``packed_limit``: 62, 31 and 18 for 2, 4 and 10
     letters); the windows are sorted in place and the distinct ones are
     decoded once into a cached ``frozenset``.  Longer words are
-    answered by substring search.  Absence only means "not seen in this text".
+    answered by substring search.  Absence only means "not in these texts".
     """
 
-    def __init__(self, text: str, letters):
+    def __init__(self, texts: str | Iterable[str], letters):
         letters = tuple(letters)
-        self.text = text
+        self.texts = (texts,) if isinstance(texts, str) else tuple(texts)
         self.letters = letters
         self._base = max(len(letters), 2)
         limit = 0
         while self._base ** (limit + 1) < 2**63:
             limit += 1
         self.packed_limit = limit
-        self._digits = encode(text, letters)
+        self._digits = [encode(text, letters) for text in self.texts]
         self._sets: dict[int, frozenset[str]] = {0: frozenset({""})}
 
     def of_length(self, k: int) -> frozenset[str]:
-        """The distinct length-k factors of the text."""
+        """The distinct length-k factors of the texts."""
         if not 0 <= k <= self.packed_limit:
             raise ValueError(f"lengths 0..{self.packed_limit} are packed, got {k}")
         found = self._sets.get(k)
@@ -388,18 +390,23 @@ class FactorIndex:
         return found
 
     def _distinct(self, k: int) -> frozenset[str]:
-        count = self._digits.size - k + 1
-        if count <= 0:
+        counts = [max(digits.size - k + 1, 0) for digits in self._digits]
+        total = sum(counts)
+        if total == 0:
             return frozenset()
         # the narrowest unsigned type that holds every code keeps the windows
         # small; below 16 bits numpy's in-place sort is many times slower
         width = np.promote_types(np.uint16, np.min_scalar_type(self._base**k - 1))
-        codes = np.zeros(count, dtype=width)
-        for j in range(k):
-            codes *= self._base
-            codes += self._digits[j : j + count]
+        codes = np.zeros(total, dtype=width)
+        end = 0
+        for digits, count in zip(self._digits, counts):
+            windows = codes[end : end + count]  # this text's windows, packed in place
+            for j in range(k):
+                windows *= self._base
+                windows += digits[j : j + count]
+            end += count
         codes.sort()
-        first = np.empty(count, dtype=bool)
+        first = np.empty(total, dtype=bool)
         first[0] = True
         np.not_equal(codes[1:], codes[:-1], out=first[1:])
         codes = codes[first]
@@ -414,7 +421,7 @@ class FactorIndex:
     def __contains__(self, word: str) -> bool:
         if len(word) <= self.packed_limit:
             return word in self.of_length(len(word))
-        return self.text.find(word) >= 0
+        return any(word in text for text in self.texts)
 
 
 # ---------------------------------------------------------------------------
@@ -443,16 +450,13 @@ def covering_words(stream: PrefixStream, k: int) -> list[str]:
     if not isinstance(stream, MorphicStream) or not is_primitive(stream.morphism):
         raise ValueError("exact factors need a periodic word or the fixed point of a primitive morphism")
     m = stream.morphism
-
-    def two_factors(word: str) -> set[str]:
-        return {word[i : i + 2] for i in range(len(word) - 1)}
-
-    pairs: set[str] = set()
-    new = two_factors(m.images[stream.start])
+    letters = m.alphabet.letters
+    pairs: frozenset[str] = frozenset()
+    new = FactorIndex(m.images[stream.start], letters).of_length(2)
     while new:
         pairs |= new
-        new = set().union(*(two_factors(m.apply(ac)) for ac in new)) - pairs
-    lengths = dict.fromkeys(m.alphabet.letters, 1)  # |f^j(letter)|
+        new = FactorIndex([m.apply(ac) for ac in new], letters).of_length(2) - pairs
+    lengths = dict.fromkeys(letters, 1)  # |f^j(letter)|
     j = 0
     while min(lengths.values()) < k:
         lengths = {c: sum(lengths[d] for d in m.images[c]) for c in lengths}

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wordalg import rowen
 from wordalg.cli import emit_report, run
 from wordalg.monalg import HorizonWarning
 
@@ -247,6 +248,54 @@ def test_rowen_command_short_horizon_is_exact(argv, capsys):
     assert rec.get("word_matches_factor_rule", "true") == "true"
 
 
+def _assert_usage_error(argv, message, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_rowen_command_factor_past_the_truncation_exits_two(capsys):
+    # positions 1000-1099 of the Thue-Morse word: a factor, first seen past N = 200
+    word = rowen.THUE_MORSE.word_prefix(1100)[1000:].translate(str.maketrans("yx", "ab"))
+    _assert_usage_error(["rowen", "--N", "200", "--word", word], "vanishes at truncation 200", capsys)
+    _assert_usage_error(["rowen", "--N", "127", "--maxlen", "62"], "vanishes at truncation 127", capsys)
+    assert run(["rowen", "--N", "2000", "--word", word]) == 0
+
+
+def test_rowen_command_nonzero_word_that_is_no_factor_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(rowen, "covering_words", lambda stream, k: ["yxx"])
+    assert run(["rowen", "--N", "512", "--maxlen", "2"]) == 1
+    assert _record(capsys)[1]["correspondence_mismatches"] == "2"
+    assert run(["rowen", "--N", "512", "--word", "ba"]) == 1
+    assert _record(capsys)[1]["word_matches_factor_rule"] == "false"
+
+
+@pytest.mark.parametrize("argv", [
+    ["rowen", "--horizon", "-3"],
+    ["rowen", "--margin", "-1"],
+    ["certify", "--spec", str(REPO_MORPHISMS / "sub_xy.morph"), "--horizon", "-1"],
+    ["certify", "--spec", str(REPO_MORPHISMS / "sub_xy.morph"), "--jmax", "-1"],
+])
+def test_negative_sizes_exit_two(argv, capsys):
+    _assert_usage_error(argv, "must be nonnegative", capsys)
+
+
+def test_rowen_command_negative_horizon_does_not_depend_on_earlier_runs(capsys):
+    assert run(["rowen", "--horizon", "100", "--maxlen", "2"]) == 0
+    capsys.readouterr()
+    _assert_usage_error(["rowen", "--horizon", "-3"], "must be nonnegative", capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify"], ["word", "--length", "5"], ["scan", "--horizons", "100"], ["free", "--view", "word", "--gens", "1*x"],
+])
+def test_start_outside_the_alphabet_exits_two(argv, capsys):
+    spec = str(REPO_MORPHISMS / "sub_xy.morph")
+    _assert_usage_error([*argv, "--spec", spec, "--start", "q"], "error: 'q' is not a letter of ('x', 'y')", capsys)
+
+
 def test_growth_command_empty_period_exits_two(capsys):
     assert run(["growth", "--periodic", ""]) == 2
     captured = capsys.readouterr()
@@ -284,6 +333,66 @@ def test_rowen_command_fuzzed_argv_never_escapes(n, horizon, maxlen, margin, wor
     if word is not None:
         argv += ["--word", word]
     _assert_never_escapes(argv)
+
+
+# mostly well-formed inputs, so most examples run the command and not only its checks
+fuzz_specs = st.sampled_from([*map(str, sorted(REPO_MORPHISMS.glob("*.morph")))] * 2 + ["", "missing.morph"])
+fuzz_starts = st.one_of(st.none(), st.none(), st.text(alphabet="xyzq", max_size=2))
+fuzz_weights = st.one_of(st.none(), st.sampled_from(["1,2", "2,1", "1,2,3", "1,1", "0,1", "-1,2", "a", ""]))
+fuzz_horizons = st.one_of(
+    st.lists(st.integers(1, 2000), min_size=1, max_size=3).map(lambda v: ",".join(map(str, sorted(v)))),
+    fuzz_csv,
+)
+
+
+def _spec_argv(command, spec, start):
+    argv = [command, "--spec", spec]
+    return argv if start is None else [*argv, "--start", start]
+
+
+@given(spec=fuzz_specs, start=fuzz_starts)
+@settings(max_examples=30, deadline=None)
+def test_analyze_command_fuzzed_argv_never_escapes(spec, start):
+    _assert_never_escapes(_spec_argv("analyze", spec, start))
+
+
+@given(spec=fuzz_specs, start=fuzz_starts, length=st.integers(-5, 200))
+@settings(max_examples=50, deadline=None)
+def test_word_command_fuzzed_argv_never_escapes(spec, start, length):
+    _assert_never_escapes([*_spec_argv("word", spec, start), "--length", str(length)])
+
+
+@given(
+    spec=fuzz_specs, start=fuzz_starts, weights=fuzz_weights,
+    u=st.one_of(st.none(), st.none(), st.text(alphabet="xyzq", max_size=4)),
+    jmax=st.integers(-2, 8), horizon=st.integers(-2, 200),
+)
+@settings(max_examples=100, deadline=None)
+def test_certify_command_fuzzed_argv_never_escapes(spec, start, weights, u, jmax, horizon):
+    argv = [*_spec_argv("certify", spec, start), "--jmax", str(jmax), "--horizon", str(horizon)]
+    if weights is not None:
+        argv += ["--weights", weights]
+    if u is not None:
+        argv += ["--u", u]
+    _assert_never_escapes(argv)
+
+
+@given(
+    spec=fuzz_specs, start=fuzz_starts, weights=fuzz_weights,
+    dmax=st.integers(-1, 4), horizons=fuzz_horizons,
+)
+@settings(max_examples=100, deadline=None)
+def test_scan_command_fuzzed_argv_never_escapes(spec, start, weights, dmax, horizons):
+    argv = [*_spec_argv("scan", spec, start), "--dmax", str(dmax), "--horizons", horizons]
+    if weights is not None:
+        argv += ["--weights", weights]
+    _assert_never_escapes(argv)
+
+
+@given(horizon=st.integers(90, 3000), lfree=st.integers(0, 3), dmax=st.integers(0, 4))
+@settings(max_examples=30, deadline=None)
+def test_theorem32_command_fuzzed_argv_never_escapes(horizon, lfree, dmax):
+    _assert_never_escapes(["theorem32", "--horizon", str(horizon), "--Lfree", str(lfree), "--dmax", str(dmax)])
 
 
 def test_growth_command_periodic_control(capsys):

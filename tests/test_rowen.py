@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wordalg import rowen
 from wordalg.rowen import (
     THUE_MORSE,
     BandMatrix,
@@ -23,8 +25,9 @@ from wordalg.rowen import (
     nilpotency_index,
     thue_morse_bit,
     tm_word_stream,
+    vanishing_matches_factor,
 )
-from wordalg.words import PeriodicStream
+from wordalg.words import FactorIndex, PeriodicStream
 
 
 # -- bits ---------------------------------------------------------------------
@@ -207,8 +210,6 @@ def test_coefficient_equals_matrix_entry():
 
 
 def test_vanishing_matches_factor_examples():
-    from wordalg.rowen import vanishing_matches_factor
-
     assert vanishing_matches_factor("yxx", 1024)
     assert vanishing_matches_factor("yyy", 1024)
     assert vanishing_matches_factor("y", 1024)
@@ -223,6 +224,52 @@ def test_correspondence_scan_small():
 def test_correspondence_scan_margin():
     with pytest.raises(MarginTooSmallError):
         correspondence_scan(12, 64, 1000)
+
+
+def test_correspondence_scan_lengths_are_packed():
+    for max_len in (0, 63):
+        with pytest.raises(ValueError, match=f"max_len must be between 1 and 62, got {max_len}"):
+            correspondence_scan(max_len, 4096, 0)
+    assert correspondence_scan(62, 4096, 0).checked == 2**63 - 2
+
+
+def _tm_factors(length):
+    """Naive slice set of a prefix long enough to hold every factor up to length 8."""
+    text = THUE_MORSE.word_prefix(4096)
+    return {text[i : i + length] for i in range(len(text) - length + 1)}
+
+
+@given(max_len=st.integers(1, 7), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_correspondence_scan_matches_word_by_word_evaluation(max_len, data):
+    n = data.draw(st.integers(max_len + 1, 80))
+    # the scan's nonzero words: the windows of the first n - 1 bits
+    nonzero = FactorIndex(THUE_MORSE.word_prefix(n - 1), ("x", "y"))
+    vanishing_factor = None
+    for length in range(1, max_len + 1):
+        zero = set()
+        for letters in itertools.product("xy", repeat=length):
+            word = "".join(letters)
+            is_zero = evaluate_word(word, n, margin=0).is_zero()
+            assert (word in nonzero.of_length(length)) == (not is_zero)
+            if is_zero:
+                zero.add(word)
+        if vanishing_factor is None and zero & _tm_factors(length):
+            vanishing_factor = min(zero & _tm_factors(length))
+    if vanishing_factor is None:
+        report = correspondence_scan(max_len, n, 0, margin=0)
+        assert report.mismatches == ()
+        assert report.checked == 2 ** (max_len + 1) - 2
+    else:
+        with pytest.raises(MarginTooSmallError, match=f"^{vanishing_factor} is a factor"):
+            correspondence_scan(max_len, n, 0, margin=0)
+
+
+def test_a_nonzero_word_that_is_no_factor_is_a_mismatch(monkeypatch):
+    # with too few covering words, xy and yy are nonzero but not "factors"
+    monkeypatch.setattr(rowen, "covering_words", lambda stream, k: ["yxx"])
+    assert correspondence_scan(2, 512, 0).mismatches == ("xy", "yy")
+    assert not vanishing_matches_factor("xy", 512)
 
 
 # -- the both-bits witness ----------------------------------------------------------------

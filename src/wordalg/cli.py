@@ -177,13 +177,19 @@ def _cmd_rowen(args) -> tuple[int, str]:
         ok &= result.stable
 
     if args.word:
+        if set(args.word) - {"a", "b"}:
+            raise ValueError(f"--word letters must be a or b, got {args.word!r}")
         letters = args.word.translate(rowen.AB_TO_WORD)
         mat = rowen.evaluate_word(letters, args.N, margin=args.margin)
         record["word"] = args.word
         record["word_zero"] = "true" if mat.is_zero() else "false"
         record["word_band"] = str(len(letters))
         record["word_nonzero_entries"] = str(mat.nnz())
-        agree = rowen.vanishing_matches_factor(letters, args.N, margin=args.margin)
+        try:
+            agree = rowen.vanishing_matches_factor(letters, args.N, margin=args.margin)
+        except rowen.MarginTooSmallError as exc:
+            # name the word as it was typed, not in the x/y letters it is evaluated in
+            raise rowen.MarginTooSmallError(str(exc).replace(letters, args.word, 1)) from None
         record["word_matches_factor_rule"] = "true" if agree else "false"
         ok &= agree
     else:

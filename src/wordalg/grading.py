@@ -312,6 +312,8 @@ def graded_nilpotence_scan(stream: PrefixStream, weights, d_max: int, horizons) 
     horizons = tuple(int(h) for h in horizons)
     if not horizons or list(horizons) != sorted(horizons):
         raise ValueError("horizons must be increasing and nonempty")
+    if horizons[0] < 0:
+        raise ValueError("horizons must be nonnegative")
     if d_max < 1:
         raise ValueError("d_max must be positive")
     # the sums of a prefix are the head of the sums of any longer prefix

@@ -64,14 +64,12 @@ class UniversalSequence:
     order_tag = ENUMERATION_ORDER
 
     def __init__(self):
-        self._diffs = array("q")
         self._values = array("q", [0])
         self._blocks = 0  # sum-blocks pulled so far
 
     def _pull(self):
         self._blocks += 1
         diffs = _block_differences(self._blocks)
-        self._diffs.frombytes(diffs.tobytes())
         self._values.frombytes((np.cumsum(diffs) + self._values[-1]).tobytes())
 
     def ensure_terms(self, count: int):
@@ -87,14 +85,10 @@ class UniversalSequence:
         self.ensure_terms(count)
         return tuple(self._values[: count + 1])
 
-    def difference(self, t: int) -> int:
-        """n_t - n_{t-1} for t >= 1."""
-        self.ensure_terms(t)
-        return self._diffs[t - 1]
-
     def differences(self, count: int) -> tuple[int, ...]:
+        """n_1 - n_0, ..., n_count - n_(count-1)."""
         self.ensure_terms(count)
-        return tuple(self._diffs[:count])
+        return tuple(np.diff(self._values[: count + 1]).tolist())
 
 
 def universal_difference_sequence(count: int) -> UniversalSequence:
@@ -117,13 +111,14 @@ def locate_pattern(seq: UniversalSequence, pattern, parity: int | None = None) -
     if parity not in (None, 0, 1):
         raise ValueError("parity must be None, 0 or 1")
     s = len(pattern)
-    m = 0 if parity is None else parity
-    step = 1 if parity is None else 2
+    first, step = (0, 1) if parity is None else (parity, 2)
+    count = s  # differences read at once, doubled until the pattern is among them
     while True:
-        seq.ensure_terms(m + s)
-        if tuple(seq._diffs[m : m + s]) == pattern:
-            return m
-        m += step
+        diffs = seq.differences(count)
+        for m in range(first, count - s + 1, step):
+            if diffs[m : m + s] == pattern:
+                return m
+        count *= 2
 
 
 # ---------------------------------------------------------------------------

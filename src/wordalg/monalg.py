@@ -370,15 +370,10 @@ def pattern_images(view: AlgebraView, gens, max_len: int) -> list[NcPolynomial]:
     in deterministic order (length ascending, index tuples lexicographic)."""
     gens = list(gens)
     images = []
-    layer = {(): NcPolynomial.one(view)}
+    layer = [NcPolynomial.one(view)]
     for _ in range(max_len):
-        nxt = {}
-        for tup in sorted(layer):
-            for g_idx in range(len(gens)):
-                nxt[tup + (g_idx,)] = layer[tup] * gens[g_idx]
-        for tup in sorted(nxt):
-            images.append(nxt[tup])
-        layer = nxt
+        layer = [p * g for p in layer for g in gens]
+        images += layer
     return images
 
 

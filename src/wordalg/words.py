@@ -231,58 +231,60 @@ def word_weight(alphabet: Alphabet, word: str, weights) -> int:
 
 def fixed_point_prefix(m: Morphism, start: str, n: int) -> str:
     """First ``n`` letters of the infinite fixed point of ``m`` beginning with ``start``."""
-    if n < 0:
-        raise ValueError("length must be nonnegative")
     return MorphicStream(m, start).prefix(n)
 
 
 class PrefixStream:
     """Deterministic, monotone generator of prefixes of a right-infinite word.
 
-    Subclasses supply ``_grow`` returning the next nonempty chunk; a read joins
-    the chunks built so far onto the cached prefix.
+    ``_text`` is the prefix built so far; subclasses supply ``_grow``
+    returning the next nonempty chunk, which a read appends to it.
     """
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
-        self._chunks: list[str] = []
-        self._length = 0
-        self._cache = ""
+        self._text = ""
+
+    @property
+    def _length(self) -> int:  # perfbench/spans.py counts letters built by this name
+        return len(self._text)
 
     def _grow(self) -> str:
         raise NotImplementedError
 
     def _ensure(self, n: int):
-        while self._length < n:
+        if n < 0:
+            raise ValueError("length must be nonnegative")
+        while len(self._text) < n:
             chunk = self._grow()
             if not chunk:
                 raise RuntimeError("stream stopped growing")
-            self._chunks.append(chunk)
-            self._length += len(chunk)
-        if self._chunks:
-            self._cache = "".join([self._cache, *self._chunks])
-            self._chunks = []
+            self._text += chunk
 
     def prefix(self, n: int) -> str:
         self._ensure(n)
-        return self._cache[:n]
+        return self._text[:n]
 
     def slice(self, start: int, stop: int) -> str:
         """Letters at 0-based positions [start, stop)."""
+        if start < 0:
+            raise ValueError("positions must be nonnegative")
         self._ensure(stop)
-        return self._cache[start:stop]
+        return self._text[start:stop]
 
 
 PIECE_SIZE = 65_536
 
 
 class MorphicStream(PrefixStream):
-    """Prefixes of the fixed point of a morphism prolongable on ``start``.
+    """Prefixes of the fixed point w of a morphism f prolongable on ``start``.
 
-    The word is start, tail, image(tail), image^2(tail), ... where
-    image(start) = start + tail.  Each block is the image of the one before,
-    built ``PIECE_SIZE`` letters of that block at a time, so a prefix of n
-    letters builds little more than n.
+    w = f(w) = f(w_0) f(w_1) f(w_2) ..., so the stream starts from f(start)
+    and each growth applies f to the next ``PIECE_SIZE`` letters of its own
+    text.  The text is always f of the letters read so far, and it stays
+    longer than them: were |f(w_0 ... w_(r-1))| = r, f would fix that finite
+    prefix and the fixed point would be finite.  A prefix of n letters builds
+    little more than n.
     """
 
     def __init__(self, morphism: Morphism, start: str):
@@ -291,20 +293,15 @@ class MorphicStream(PrefixStream):
             raise NotProlongableError(f"morphism is not prolongable on {start!r}")
         self.morphism = morphism
         self.start = start
-        self._chunks = [morphism.images[start]]
-        self._length = len(self._chunks[0])
-        self._block = self._chunks[0][1:]  # the block being expanded
-        self._done = 0  # letters of it expanded so far
-        self._pieces: list[str] = []  # their images: the next block
+        self._text = morphism.images[start]
+        self._read = 1  # letters of the text whose images the text holds
 
     def _grow(self) -> str:
         while True:
-            if self._done >= len(self._block):
-                self._block, self._done, self._pieces = "".join(self._pieces), 0, []
-            image = self.morphism.apply(self._block[self._done : self._done + PIECE_SIZE])
-            self._done += PIECE_SIZE
+            piece = self._text[self._read : self._read + PIECE_SIZE]
+            self._read += len(piece)
+            image = self.morphism.apply(piece)
             if image:  # pieces of mortal letters have empty images
-                self._pieces.append(image)
                 return image
 
 
@@ -322,7 +319,7 @@ class PeriodicStream(PrefixStream):
         self.period = period
 
     def _grow(self) -> str:
-        return self.period
+        return self.period * max(PIECE_SIZE // len(self.period), 1)
 
 
 # ---------------------------------------------------------------------------

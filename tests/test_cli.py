@@ -277,9 +277,27 @@ def test_rowen_command_nonzero_word_that_is_no_factor_exits_one(monkeypatch, cap
     ["rowen", "--margin", "-1"],
     ["certify", "--spec", str(REPO_MORPHISMS / "sub_xy.morph"), "--horizon", "-1"],
     ["certify", "--spec", str(REPO_MORPHISMS / "sub_xy.morph"), "--jmax", "-1"],
+    ["scan", "--spec", str(REPO_MORPHISMS / "thue_morse.morph"), "--dmax", "3", "--horizons=-5,10"],
+    ["scan", "--spec", str(REPO_MORPHISMS / "thue_morse.morph"), "--horizons=-10,-5"],
+    ["word", "--spec", str(REPO_MORPHISMS / "sub_xy.morph"), "--length", "-1"],
 ])
 def test_negative_sizes_exit_two(argv, capsys):
     _assert_usage_error(argv, "must be nonnegative", capsys)
+
+
+@pytest.mark.parametrize("word", ["xyy", "c", "abx", "a b"])
+def test_rowen_word_outside_a_b_exits_two(word, capsys):
+    _assert_usage_error(["rowen", "--N", "300", "--word", word], f"--word letters must be a or b, got {word!r}", capsys)
+
+
+def test_rowen_word_error_names_the_word_as_typed(capsys):
+    # positions 1000-1099 of the Thue-Morse word: a factor, first seen past N = 200
+    typed = rowen.THUE_MORSE.word_prefix(1100)[1000:].translate(str.maketrans("yx", "ab"))
+    assert run(["rowen", "--N", "200", "--word", typed]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {typed} is a factor of the Thue-Morse word but vanishes at truncation 200: "
+        "it first occurs past the truncation\n"
+    )
 
 
 def test_rowen_command_negative_horizon_does_not_depend_on_earlier_runs(capsys):

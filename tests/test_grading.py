@@ -299,6 +299,10 @@ def test_scan_reads_each_horizon_as_a_head_of_one_build(tm_morphism, weights, ho
 def test_scan_validates_horizons(xy_stream):
     with pytest.raises(ValueError):
         graded_nilpotence_scan(xy_stream, (1, 2), 4, (1000, 100))
+    # a negative horizon would read the sums from the end of the largest one
+    for horizons in ((-5, 10), (-10, -5), (-1,)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            graded_nilpotence_scan(xy_stream, (1, 2), 3, horizons)
 
 
 # -- homogeneous nilpotence equivalence --------------------------------------------------------

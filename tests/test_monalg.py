@@ -321,6 +321,25 @@ def test_certificate_holds_on_free_pattern_images():
     assert linear_independence(images) == IndependenceResult(len(images), True, None)
 
 
+@pytest.mark.parametrize("view, literals", [
+    (cube_ideal_view("xyzw"), ["1*x + 1*y", "1*z + 1*w"]),
+    (FreeView("xy"), ["1*x + 1*y", "1*x + -1*y"]),
+    (FreeView("xyz"), ["1*x", "2*y + 1*z", "1*x + -1*z"]),
+])
+def test_pattern_images_follow_index_tuples_in_length_then_lex_order(view, literals):
+    import itertools
+
+    gens = [parse_poly_literal(view, literal) for literal in literals]
+    expected = []
+    for length in range(1, 4):
+        for indices in itertools.product(range(len(gens)), repeat=length):
+            product = NcPolynomial.one(view)
+            for i in indices:
+                product = product * gens[i]
+            expected.append(product.coeffs)
+    assert [p.coeffs for p in pattern_images(view, gens, 3)] == expected
+
+
 def test_rank_of_length_two_patterns_in_tilde_view(tilde_view):
     gx = NcPolynomial(tilde_view, {"x": 1, "y": 1})
     gy = NcPolynomial(tilde_view, {"X": 1, "Y": 1})

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wordalg import words
@@ -239,6 +239,58 @@ def test_morphic_stream_matches_eager_blocks(m, start, piece_size, monkeypatch):
     for n in range(1, stop, step):
         assert stream.prefix(n) == reference[:n]
     assert stream.slice(stop - 50, stop) == reference[-50:]
+
+
+@st.composite
+def prolongable_morphisms(draw):
+    """Morphisms over 2-3 letters with images of 0-4 letters, prolongable on x;
+    mortal letters and non-primitive morphisms included."""
+    letters = "xyz"[: draw(st.integers(2, 3))]
+    images = {c: draw(st.text(alphabet=letters, max_size=4)) for c in letters}
+    images["x"] = "x" + draw(st.text(alphabet=letters, min_size=1, max_size=3))
+    m = make_morphism(letters, **images)
+    assume(is_prolongable(m, "x"))
+    return m
+
+
+@given(m=prolongable_morphisms(), piece_size=st.integers(1, 7), lengths=st.lists(st.integers(0, 300), max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_morphic_stream_matches_iterated_images(m, piece_size, lengths):
+    # the stream reads its own text; the oracle iterates f on x until 300 letters are there
+    reference = "x"
+    while len(reference) < 300:
+        reference = m.iterate(reference, 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(words, "PIECE_SIZE", piece_size)
+        stream = MorphicStream(m, "x")
+        for n in [*lengths, 300]:
+            assert stream.prefix(n) == reference[:n]
+
+
+@pytest.mark.parametrize("period", ["x", "xy", "xyzzy"])
+@pytest.mark.parametrize("piece_size", [1, 2, 7, words.PIECE_SIZE])
+def test_periodic_stream_repeats_its_period(period, piece_size, monkeypatch):
+    # the stream grows by about a piece of whole periods at a time
+    monkeypatch.setattr(words, "PIECE_SIZE", piece_size)
+    stream = PeriodicStream(period)
+    stop = 3 * piece_size + 11
+    reference = period * stop
+    for n in range(0, stop, max(piece_size // 3, 1)):
+        assert stream.prefix(n) == reference[:n]
+    assert stream.slice(stop - 7, stop) == reference[stop - 7 : stop]
+
+
+@pytest.mark.parametrize("stream", [
+    MorphicStream(make_morphism("xy", x="xy", y="yx"), "x"),
+    PeriodicStream("xyz"),
+])
+def test_streams_reject_negative_lengths(stream):
+    # a negative length would read from the end of the text built so far
+    stream.prefix(10)
+    for read in (lambda: stream.prefix(-1), lambda: stream.slice(0, -3), lambda: stream.slice(-5, 8)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            read()
+    assert stream.slice(3, 3) == "" and len(stream.prefix(10)) == 10
 
 
 @pytest.mark.parametrize("m, start", [(make_morphism("xy", x="xy", y="yyx"), "x"), (MORTAL_Z, "x")])

@@ -20,7 +20,7 @@ def main():
     parser.add_argument("--fdeg", type=int, default=3, help="max degree of the 0/1 elements tested")
     args = parser.parse_args()
 
-    scan = rowen.correspondence_scan(args.maxlen, args.N, args.horizon)
+    scan = rowen.correspondence_scan(args.maxlen, args.N)
     print(emit_report({
         "correspondence_checked": str(scan.checked),
         "correspondence_mismatches": str(len(scan.mismatches)),

@@ -29,10 +29,10 @@ from .grading import (
     weight_sum_prefix,
 )
 from .monalg import (
+    CubeIdealView,
     FreeView,
     NcPolynomial,
     WordFactorView,
-    cube_ideal_view,
     freeness_check,
     linear_independence,
 )

@@ -119,15 +119,11 @@ def _make_view(args) -> monalg.AlgebraView:
         start = _pick_start(morphism, args.start)
         return monalg.WordFactorView(words.MorphicStream(morphism, start), args.horizon)
     if kind == "tilde":
-        spec = interleave.InterleaveSpec(
-            words.MorphicStream(interleave.base_morphism(), interleave.BASE_START),
-            interleave.UniversalSequence(),
-        )
-        return monalg.WordFactorView(interleave.InterleaveStream(spec), args.horizon)
+        return monalg.WordFactorView(interleave.tilde_stream(), args.horizon)
     if kind == "cubes":
         if not args.letters:
             raise ValueError("--letters is required for the cubes view")
-        return monalg.cube_ideal_view(tuple(args.letters))
+        return monalg.CubeIdealView(args.letters)
     if kind == "free":
         if not args.letters:
             raise ValueError("--letters is required for the free view")
@@ -186,14 +182,14 @@ def _cmd_rowen(args) -> tuple[int, str]:
         record["word_band"] = str(len(letters))
         record["word_nonzero_entries"] = str(mat.nnz())
         try:
-            agree = rowen.vanishing_matches_factor(letters, args.N, margin=args.margin)
+            agree = rowen.vanishing_matches_factor(letters, mat)
         except rowen.MarginTooSmallError as exc:
             # name the word as it was typed, not in the x/y letters it is evaluated in
             raise rowen.MarginTooSmallError(str(exc).replace(letters, args.word, 1)) from None
         record["word_matches_factor_rule"] = "true" if agree else "false"
         ok &= agree
     else:
-        scan = rowen.correspondence_scan(args.maxlen, args.N, args.horizon, margin=args.margin)
+        scan = rowen.correspondence_scan(args.maxlen, args.N, margin=args.margin)
         record["correspondence_max_len"] = str(scan.max_len)
         record["correspondence_checked"] = str(scan.checked)
         record["correspondence_mismatches"] = str(len(scan.mismatches))

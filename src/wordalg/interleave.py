@@ -205,6 +205,13 @@ BASE_START = "x"
 BASE_WEIGHTS = (1, 2)
 
 
+def tilde_stream() -> InterleaveStream:
+    """The interleaved word of the construction: the base word's fixed point
+    cut along a fresh universal sequence."""
+    base = MorphicStream(base_morphism(), BASE_START)
+    return InterleaveStream(InterleaveSpec(base, UniversalSequence()))
+
+
 @dataclass(frozen=True)
 class PipelineReport:
     horizon: int
@@ -254,12 +261,10 @@ def construction_pipeline(
     arithmetic progressions, and test freeness of the two mixed generators."""
     if horizon < 100:
         raise ValueError("horizon too small to be meaningful")
-    m = base_morphism()
-    certificate = certify_graded_nilpotence(m, BASE_START, BASE_WEIGHTS)
+    certificate = certify_graded_nilpotence(base_morphism(), BASE_START, BASE_WEIGHTS)
 
-    base_stream = MorphicStream(m, BASE_START)
-    spec = InterleaveSpec(base_stream, UniversalSequence())
-    tilde = InterleaveStream(spec)
+    tilde = tilde_stream()
+    spec = tilde.spec
 
     # weights on the doubled alphabet: primed companions inherit the base weight
     weights = BASE_WEIGHTS + BASE_WEIGHTS
@@ -267,7 +272,7 @@ def construction_pipeline(
     scan = graded_nilpotence_scan(tilde, weights, d_max, horizons)
 
     # the scan's sums are those of the tilde prefix at the full horizon
-    base_sums = weight_sum_prefix(base_stream, BASE_WEIGHTS, horizon)
+    base_sums = weight_sum_prefix(spec.base, BASE_WEIGHTS, horizon)
     sums_equal = bool(np.array_equal(scan.sums.sums, base_sums.sums))
 
     view = WordFactorView(tilde, horizon)

@@ -36,9 +36,6 @@ class AlgebraView:
                 raise ValueError(f"{c!r} is not a letter of this algebra")
         return word
 
-    def letter_index(self, c: str) -> int:
-        return self.letters.index(c)
-
 
 class WordFactorView(AlgebraView):
     """Monomials are nonzero iff they occur as a factor of the stream's prefix.
@@ -78,28 +75,15 @@ class WordFactorView(AlgebraView):
         return zero
 
 
-class ForbiddenPatternView(AlgebraView):
-    """Monomial is zero iff ``forbids(word)`` holds; the predicate must be
-    superword-closed so that the zero monomials form a monomial ideal."""
+class CubeIdealView(AlgebraView):
+    """Quotient by the ideal generated by the cubes of all nonempty monomials:
+    a monomial is zero iff it contains a cube."""
 
-    def __init__(self, letters, forbids, description: str = ""):
+    def __init__(self, letters):
         self.letters = tuple(letters)
-        self.forbids = forbids
-        self.description = description
 
     def is_zero_monomial(self, word: str) -> bool:
-        if word == "":
-            return False
-        return bool(self.forbids(word))
-
-
-def contains_cube(word: str) -> bool:
-    return not is_cube_free(word).is_cube_free
-
-
-def cube_ideal_view(letters) -> ForbiddenPatternView:
-    """Quotient by the ideal generated by the cubes of all nonempty monomials."""
-    return ForbiddenPatternView(letters, contains_cube, "contains the cube of a nonempty word")
+        return not is_cube_free(word).is_cube_free
 
 
 class FreeView(AlgebraView):
@@ -116,9 +100,15 @@ class FreeView(AlgebraView):
 # polynomials
 
 
-def monomial_key(view: AlgebraView, word: str):
-    """Length-then-lexicographic order by alphabet position (pinned for reproducibility)."""
-    return (len(word), tuple(view.letter_index(c) for c in word))
+def _reduced(view: AlgebraView, terms: dict[str, Fraction]) -> NcPolynomial:
+    """The polynomial of ``terms`` less its zero coefficients and zero monomials.
+
+    ``terms`` must already hold Fractions on the view's letters: only the
+    NcPolynomial constructor takes outside input and checks it."""
+    p = object.__new__(NcPolynomial)
+    p.view = view
+    p.coeffs = {w: c for w, c in terms.items() if c and not view.is_zero_monomial(w)}
+    return p
 
 
 class NcPolynomial:
@@ -127,16 +117,12 @@ class NcPolynomial:
     __slots__ = ("view", "coeffs")
 
     def __init__(self, view: AlgebraView, coeffs):
-        clean: dict[str, Fraction] = {}
-        for word, c in coeffs.items():
-            c = Fraction(c)
-            if c == 0:
-                continue
-            view.check_word(word)
-            if not view.is_zero_monomial(word):
-                clean[word] = c
+        terms = {word: Fraction(c) for word, c in coeffs.items()}
+        for word, c in terms.items():
+            if c:  # a zero term is dropped, whatever its letters
+                view.check_word(word)
         self.view = view
-        self.coeffs = clean
+        self.coeffs = _reduced(view, terms).coeffs
 
     # -- constructors
 
@@ -146,11 +132,11 @@ class NcPolynomial:
 
     @classmethod
     def one(cls, view) -> "NcPolynomial":
-        return cls(view, {"": Fraction(1)})
+        return cls(view, {"": 1})
 
     @classmethod
     def monomial(cls, view, word: str, coeff=1) -> "NcPolynomial":
-        return cls(view, {word: Fraction(coeff)})
+        return cls(view, {word: coeff})
 
     # -- queries
 
@@ -158,7 +144,9 @@ class NcPolynomial:
         return not self.coeffs
 
     def support(self) -> list[str]:
-        return sorted(self.coeffs, key=lambda w: monomial_key(self.view, w))
+        """Length-then-lexicographic order by alphabet position (pinned for reproducibility)."""
+        index = self.view.letters.index
+        return sorted(self.coeffs, key=lambda w: (len(w), tuple(map(index, w))))
 
     def __eq__(self, other):
         return isinstance(other, NcPolynomial) and self.coeffs == other.coeffs
@@ -178,25 +166,25 @@ class NcPolynomial:
         self._check_view(other)
         acc = dict(self.coeffs)
         for w, c in other.coeffs.items():
-            acc[w] = acc.get(w, Fraction(0)) + c
-        return NcPolynomial(self.view, acc)
+            acc[w] = acc[w] + c if w in acc else c
+        return _reduced(self.view, acc)
 
     def __neg__(self):
-        return NcPolynomial(self.view, {w: -c for w, c in self.coeffs.items()})
+        return _reduced(self.view, {w: -c for w, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return NcPolynomial(self.view, {w: c * other for w, c in self.coeffs.items()})
+            return _reduced(self.view, {w: c * other for w, c in self.coeffs.items()})
         self._check_view(other)
         acc: dict[str, Fraction] = {}
         for w1, c1 in self.coeffs.items():
             for w2, c2 in other.coeffs.items():
                 w = w1 + w2
-                acc[w] = acc.get(w, Fraction(0)) + c1 * c2
-        return NcPolynomial(self.view, acc)
+                acc[w] = acc[w] + c1 * c2 if w in acc else c1 * c2
+        return _reduced(self.view, acc)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -304,12 +292,13 @@ def linear_independence(polys) -> IndependenceResult:
     polys = list(polys)
     if not polys:
         return IndependenceResult(0, True, None)
-    view = polys[0].view
-    basis = sorted({w for p in polys for w in p.coeffs}, key=lambda w: monomial_key(view, w))
-    col_of = {w: j for j, w in enumerate(basis)}
+    # columns in first-seen order: neither the rank nor the witness, which
+    # writes the first dependent row in the independent rows before it,
+    # depends on the order
+    col_of = {w: j for j, w in enumerate(dict.fromkeys(w for p in polys for w in p.coeffs))}
     if _full_rank_mod_p(polys, col_of):
         return IndependenceResult(len(polys), True, None)
-    n_cols = len(basis)
+    n_cols = len(col_of)
 
     pivots: list[tuple[int, list[Fraction], list[Fraction]]] = []  # (col, vector, combo)
     dependency = None
@@ -412,7 +401,7 @@ def freeness_check(view: AlgebraView, gens, max_len: int) -> FreenessReport:
 def is_nilpotent_monomial(view: AlgebraView, monomial: str, k_max: int):
     """Smallest k <= k_max with monomial^k zero in the view, else None.
 
-    Exact for pattern and free rules; for factor views the answer is qualified
+    Exact for cube and free views; for factor views the answer is qualified
     by the view's horizon (see WordFactorView).
     """
     if not monomial:
@@ -428,7 +417,7 @@ def hilbert_function(view: AlgebraView, weights, n: int) -> int:
     """Number of nonzero monomials of weight n (the dimension of the weight-n
     homogeneous component)."""
     if isinstance(view, FreeView):
-        raise ValueError("hilbert_function needs a factor or forbidden-pattern view")
+        raise ValueError("hilbert_function needs a factor or cube view")
     weights = tuple(int(w) for w in weights)
     if len(weights) != len(view.letters) or any(w < 1 for w in weights):
         raise ValueError("need one positive weight per letter")

@@ -273,16 +273,17 @@ def _vanishing_factor(word: str, n: int) -> MarginTooSmallError:
     )
 
 
-def vanishing_matches_factor(word: str, n: int, margin: int = DEFAULT_MARGIN) -> bool:
-    """True when the evaluated word is zero exactly when the word is not a
-    factor of the Thue-Morse word.  A factor that is zero first occurs past
-    the truncation, which raises MarginTooSmallError."""
+def vanishing_matches_factor(word: str, evaluated: BandMatrix) -> bool:
+    """True when ``evaluated``, the word's ``evaluate_word`` image, is zero
+    exactly when the word is not a factor of the Thue-Morse word.  A factor
+    that is zero first occurs past the truncation, which raises
+    MarginTooSmallError."""
     if not word:
         raise ValueError("word must be nonempty")
-    zero = evaluate_word(word, n, margin).is_zero()
+    zero = evaluated.is_zero()
     factor = word in FactorIndex(covering_words(tm_word_stream(), len(word)), WORD_LETTERS)
     if zero and factor:
-        raise _vanishing_factor(word, n)
+        raise _vanishing_factor(word, evaluated.size)
     return zero != factor
 
 
@@ -290,7 +291,6 @@ def vanishing_matches_factor(word: str, n: int, margin: int = DEFAULT_MARGIN) ->
 class CorrespondenceReport:
     max_len: int
     truncation: int
-    horizon: int
     checked: int
     mismatches: tuple[str, ...]
 
@@ -299,15 +299,13 @@ class CorrespondenceReport:
         return not self.mismatches
 
 
-def correspondence_scan(
-    max_len: int, n: int, horizon: int, margin: int = DEFAULT_MARGIN
-) -> CorrespondenceReport:
+def correspondence_scan(max_len: int, n: int, margin: int = DEFAULT_MARGIN) -> CorrespondenceReport:
     """Compare zero-evaluation with factor absence for every word of length
     <= max_len.  Entry t of a word's band is the product of its letters read
     at bits t+1, t+2, ..., so the nonzero words of length L are the length-L
     windows of the first n-1 bits; the factors are exact (``covering_words``).
     A nonzero word that is not a factor is a mismatch; a factor that is zero
-    raises MarginTooSmallError.  ``horizon`` is only recorded in the report."""
+    raises MarginTooSmallError."""
     limit = FactorIndex("", WORD_LETTERS).packed_limit
     if not 1 <= max_len <= limit:
         raise ValueError(f"max_len must be between 1 and {limit}, got {max_len}")
@@ -323,7 +321,7 @@ def correspondence_scan(
             raise _vanishing_factor(min(vanishing), n)
         mismatches += sorted(seen - exact)
     checked = 2 ** (max_len + 1) - 2
-    return CorrespondenceReport(max_len, n, horizon, checked, tuple(mismatches))
+    return CorrespondenceReport(max_len, n, checked, tuple(mismatches))
 
 
 # ---------------------------------------------------------------------------

@@ -163,21 +163,18 @@ def exact_det(matrix) -> int:
 
 
 def is_primitive(m: Morphism) -> bool:
-    """Every letter eventually occurs in every letter's iterated image.
+    """Some power M^k of the incidence matrix is entrywise positive: every
+    letter occurs in the k-th iterated image of every letter.
 
-    Decided by reachability of the incidence matrix: the sum M + M^2 + ... + M^(d^2)
-    must be entrywise positive.
+    By Wielandt's bound a primitive d x d matrix has M^((d-1)^2 + 1) > 0, and
+    no power of any other matrix is positive, so that one power decides it.
+    Entries are clamped to 0/1, which keeps their support and their size.
     """
-    mat = incidence_matrix(m)
-    d = m.alphabet.size
-    acc = [[0] * d for _ in range(d)]
+    mat = tuple(tuple(min(e, 1) for e in row) for row in incidence_matrix(m))
     power = mat
-    for _ in range(d * d):
-        for i in range(d):
-            for j in range(d):
-                acc[i][j] += power[i][j]
-        power = _mat_mul(power, mat)
-    return all(acc[i][j] > 0 for i in range(d) for j in range(d))
+    for _ in range((m.alphabet.size - 1) ** 2):
+        power = tuple(tuple(min(e, 1) for e in row) for row in _mat_mul(power, mat))
+    return all(e > 0 for row in power for e in row)
 
 
 @dataclass(frozen=True)
@@ -308,14 +305,10 @@ class MorphicStream(PrefixStream):
 class PeriodicStream(PrefixStream):
     """The periodic word ``period`` repeated forever."""
 
-    def __init__(self, period: str, alphabet: Alphabet | None = None):
+    def __init__(self, period: str):
         if not period:
             raise ValueError("period must be nonempty")
-        if alphabet is None:
-            seen = tuple(dict.fromkeys(period))
-            alphabet = Alphabet(seen)
-        alphabet.check_word(period)
-        super().__init__(alphabet)
+        super().__init__(Alphabet(tuple(dict.fromkeys(period))))
         self.period = period
 
     def _grow(self) -> str:
@@ -442,8 +435,6 @@ def covering_words(stream: PrefixStream, k: int) -> list[str]:
     if isinstance(stream, PeriodicStream):
         period = stream.period
         return [period * (-(-k // len(period)) + 1)]
-    # a prolongable morphism fixes its start letter, so its incidence matrix
-    # has a positive diagonal entry and is_primitive's reachability test is exact
     if not isinstance(stream, MorphicStream) or not is_primitive(stream.morphism):
         raise ValueError("exact factors need a periodic word or the fixed point of a primitive morphism")
     m = stream.morphism

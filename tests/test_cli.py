@@ -67,6 +67,13 @@ def test_analyze_command(sub_xy_file, capsys):
     assert rec["primitive"] == "true"
 
 
+def test_analyze_command_swap_is_not_primitive(tmp_path, capsys):
+    spec = tmp_path / "swap.morph"
+    spec.write_text("x y\nx -> y\ny -> x\n")
+    assert run(["analyze", "--spec", str(spec)]) == 0
+    assert _record(capsys)[1]["primitive"] == "false"
+
+
 def test_certify_command_positive(sub_xy_file, capsys):
     code = run(["certify", "--spec", sub_xy_file, "--weights", "1,2", "--u", "xyy"])
     out, rec = _record(capsys)
@@ -226,6 +233,19 @@ def test_rowen_command_single_word(capsys):
     assert code == 0
     assert rec["word_zero"] == "true"  # aaa maps to yyy, never a factor
     assert rec["word_matches_factor_rule"] == "true"
+
+
+def test_rowen_command_single_word_is_evaluated_once(monkeypatch, capsys):
+    calls = []
+    evaluate = rowen.evaluate_word
+
+    def counted(word, n, margin=rowen.DEFAULT_MARGIN):
+        calls.append(word)
+        return evaluate(word, n, margin)
+
+    monkeypatch.setattr(rowen, "evaluate_word", counted)
+    assert run(["rowen", "--N", "512", "--word", "abba"]) == 0
+    assert calls == ["yxxy"]
 
 
 def test_growth_command(capsys):

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from wordalg import monalg
 from wordalg.monalg import (
     CERTIFICATE_PRIME,
+    CubeIdealView,
     FreeView,
     HorizonWarning,
     IndependenceResult,
     NcPolynomial,
     WordFactorView,
-    contains_cube,
-    cube_ideal_view,
     format_poly_literal,
     freeness_check,
     hilbert_function,
@@ -26,7 +25,7 @@ from wordalg.monalg import (
     pattern_images,
     substitute,
 )
-from wordalg.words import SuffixAutomaton
+from wordalg.words import SuffixAutomaton, is_cube_free
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +79,7 @@ def test_word_factor_view_warns_once(xy_stream):
 
 
 def test_cube_view_and_free_view():
-    cube = cube_ideal_view("xyzw")
+    cube = CubeIdealView("xyzw")
     assert not cube.is_zero_monomial("xyxy")
     assert cube.is_zero_monomial("xxx")
     assert cube.is_zero_monomial("zxxxw")
@@ -90,7 +89,7 @@ def test_cube_view_and_free_view():
 
 def test_zero_monomials_form_an_ideal(xy_view, tm_view):
     rng = random.Random(1)
-    cube = cube_ideal_view("xy")
+    cube = CubeIdealView("xy")
     for view, zero_seed in ((xy_view, "xxx"), (tm_view, "yyy"), (cube, "xxx")):
         for _ in range(200):
             u = "".join(rng.choice("xy") for _ in range(rng.randint(0, 4)))
@@ -166,7 +165,7 @@ def test_substitute_examples(tilde_view, xy_view):
     single = substitute(xy_view, "A", {"A": NcPolynomial(xy_view, {"x": 1, "y": 1})})
     assert single.coeffs == {"x": Fraction(1), "y": Fraction(1)}
 
-    cube = cube_ideal_view("xy")
+    cube = CubeIdealView("xy")
     g = NcPolynomial(cube, {"x": 1, "y": 1})
     square = substitute(cube, "AA", {"A": g})
     assert square.coeffs == {w: Fraction(1) for w in ("xx", "xy", "yx", "yy")}
@@ -177,6 +176,43 @@ def test_substitute_examples(tilde_view, xy_view):
 
 def test_substitute_empty_pattern_is_identity(xy_view):
     assert substitute(xy_view, "", {}) == NcPolynomial.one(xy_view)
+
+
+def _summed(terms):
+    """Naive coefficient dict: the coefficients of equal monomials added up."""
+    acc = {}
+    for w, c in terms:
+        acc[w] = acc.get(w, 0) + c
+    return acc
+
+
+xy_terms = st.dictionaries(
+    st.text("xy", max_size=4),
+    st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)),
+    max_size=6,
+)
+
+
+@pytest.mark.parametrize("kind", ["cube", "free", "factor"])
+@given(p_terms=xy_terms, q_terms=xy_terms, c=st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)))
+@settings(max_examples=60, deadline=None)
+def test_arithmetic_matches_the_constructor_on_naive_coefficient_dicts(kind, xy_view, p_terms, q_terms, c):
+    view = {"cube": CubeIdealView("xy"), "free": FreeView("xy"), "factor": xy_view}[kind]
+    p, q = NcPolynomial(view, p_terms), NcPolynomial(view, q_terms)
+    P, Q = list(p.coeffs.items()), list(q.coeffs.items())
+    expected = {
+        "p*q": _summed((w1 + w2, c1 * c2) for w1, c1 in P for w2, c2 in Q),
+        "p+q": _summed(P + Q),
+        "p-q": _summed(P + [(w, -b) for w, b in Q]),
+        "-p": {w: -a for w, a in P},
+        "c*p": {w: c * a for w, a in P},
+    }
+    results = {"p*q": p * q, "p+q": p + q, "p-q": p - q, "-p": -p, "c*p": c * p}
+    for name, result in results.items():
+        assert result == NcPolynomial(view, expected[name]), name
+        assert result.view is view
+        assert all(type(a) is Fraction for a in result.coeffs.values()), name
+    assert p * c == c * p
 
 
 # -- literals ---------------------------------------------------------------------
@@ -322,7 +358,7 @@ def test_certificate_holds_on_free_pattern_images():
 
 
 @pytest.mark.parametrize("view, literals", [
-    (cube_ideal_view("xyzw"), ["1*x + 1*y", "1*z + 1*w"]),
+    (CubeIdealView("xyzw"), ["1*x + 1*y", "1*z + 1*w"]),
     (FreeView("xy"), ["1*x + 1*y", "1*x + -1*y"]),
     (FreeView("xyz"), ["1*x", "2*y + 1*z", "1*x + -1*z"]),
 ])
@@ -362,7 +398,7 @@ def test_freeness_tilde_generators(tilde_view):
 
 
 def test_freeness_cube_view():
-    view = cube_ideal_view("xyzw")
+    view = CubeIdealView("xyzw")
     gens = [NcPolynomial(view, {"x": 1, "y": 1}), NcPolynomial(view, {"z": 1, "w": 1})]
     report = freeness_check(view, gens, 4)
     assert report.independent and report.rank == 30
@@ -400,7 +436,7 @@ def test_freeness_rejects_zero_generators(xy_view):
 
 
 def test_is_nilpotent_monomial_cube_view():
-    view = cube_ideal_view("xyzw")
+    view = CubeIdealView("xyzw")
     assert is_nilpotent_monomial(view, "xy", 5) == 3
     assert is_nilpotent_monomial(view, "x", 5) == 3
     assert is_nilpotent_monomial(view, "xyx", 5) == 3
@@ -431,14 +467,14 @@ def test_hilbert_function_examples(tm_view):
 
 
 def test_hilbert_function_cube_view_matches_enumeration():
-    view = cube_ideal_view("xy")
+    view = CubeIdealView("xy")
     import itertools
 
     for n in range(1, 6):
         expected = sum(
             1
             for t in itertools.product("xy", repeat=n)
-            if not contains_cube("".join(t))
+            if is_cube_free("".join(t)).is_cube_free
         )
         assert hilbert_function(view, (1, 1), n) == expected
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordalg import rowen
+from wordalg import cli, rowen
 from wordalg.rowen import (
     THUE_MORSE,
     BandMatrix,
@@ -210,27 +210,26 @@ def test_coefficient_equals_matrix_entry():
 
 
 def test_vanishing_matches_factor_examples():
-    assert vanishing_matches_factor("yxx", 1024)
-    assert vanishing_matches_factor("yyy", 1024)
-    assert vanishing_matches_factor("y", 1024)
+    for word in ("yxx", "yyy", "y"):
+        assert vanishing_matches_factor(word, evaluate_word(word, 1024))
 
 
 def test_correspondence_scan_small():
-    report = correspondence_scan(6, 512, 10_000)
+    report = correspondence_scan(6, 512)
     assert report.checked == 2 + 4 + 8 + 16 + 32 + 64
     assert report.all_agree
 
 
 def test_correspondence_scan_margin():
     with pytest.raises(MarginTooSmallError):
-        correspondence_scan(12, 64, 1000)
+        correspondence_scan(12, 64)
 
 
 def test_correspondence_scan_lengths_are_packed():
     for max_len in (0, 63):
         with pytest.raises(ValueError, match=f"max_len must be between 1 and 62, got {max_len}"):
-            correspondence_scan(max_len, 4096, 0)
-    assert correspondence_scan(62, 4096, 0).checked == 2**63 - 2
+            correspondence_scan(max_len, 4096)
+    assert correspondence_scan(62, 4096).checked == 2**63 - 2
 
 
 def _tm_factors(length):
@@ -257,19 +256,19 @@ def test_correspondence_scan_matches_word_by_word_evaluation(max_len, data):
         if vanishing_factor is None and zero & _tm_factors(length):
             vanishing_factor = min(zero & _tm_factors(length))
     if vanishing_factor is None:
-        report = correspondence_scan(max_len, n, 0, margin=0)
+        report = correspondence_scan(max_len, n, margin=0)
         assert report.mismatches == ()
         assert report.checked == 2 ** (max_len + 1) - 2
     else:
         with pytest.raises(MarginTooSmallError, match=f"^{vanishing_factor} is a factor"):
-            correspondence_scan(max_len, n, 0, margin=0)
+            correspondence_scan(max_len, n, margin=0)
 
 
 def test_a_nonzero_word_that_is_no_factor_is_a_mismatch(monkeypatch):
     # with too few covering words, xy and yy are nonzero but not "factors"
     monkeypatch.setattr(rowen, "covering_words", lambda stream, k: ["yxx"])
-    assert correspondence_scan(2, 512, 0).mismatches == ("xy", "yy")
-    assert not vanishing_matches_factor("xy", 512)
+    assert correspondence_scan(2, 512).mismatches == ("xy", "yy")
+    assert not vanishing_matches_factor("xy", evaluate_word("xy", 512))
 
 
 # -- the both-bits witness ----------------------------------------------------------------
@@ -423,7 +422,12 @@ def test_growth_profile_builds_no_prefix():
         assert stream._length == before
 
 
-def test_correspondence_scan_does_not_depend_on_the_horizon():
+def test_correspondence_scan_does_not_depend_on_the_horizon(capsys):
+    # the scan takes no horizon; the rowen record's horizon only sizes the bits check
+    assert correspondence_scan(4, 512).all_agree
+    scans = set()
     for horizon in (0, 5, 10_000):
-        report = correspondence_scan(4, 512, horizon)
-        assert report.all_agree and report.horizon == horizon
+        assert cli.run(["rowen", "--N", "512", "--maxlen", "4", "--horizon", str(horizon)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        scans.add(tuple(line for line in lines if line.startswith("correspondence_")))
+    assert len(scans) == 1

@@ -115,7 +115,24 @@ def test_identity_morphism_matrix():
 
 def test_not_primitive():
     assert not is_primitive(make_morphism("xy", x="xx", y="yy"))
-    assert is_primitive(make_morphism("xy", x="y", y="x"))  # per-pair reachability
+    # every letter reaches every letter, but the powers alternate between the
+    # identity and the swap, so none is positive
+    assert not is_primitive(make_morphism("xy", x="y", y="x"))
+
+
+@given(data=st.data(), d=st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_is_primitive_matches_brute_force_powers(data, d):
+    letters = "wxyz"[:d]
+    # single-letter images make periodic (irreducible, not primitive) matrices common
+    image = st.one_of(st.sampled_from(letters), st.text(alphabet=letters, max_size=3))
+    m = make_morphism(letters, **{c: data.draw(image) for c in letters})
+    mat = incidence_matrix(m)
+    power, positive = mat, False
+    for _ in range(d * d + d):  # far past Wielandt's (d-1)^2 + 1
+        positive |= all(e > 0 for row in power for e in row)
+        power = tuple(tuple(sum(power[i][k] * mat[k][j] for k in range(d)) for j in range(d)) for i in range(d))
+    assert is_primitive(m) == positive
 
 
 def test_exact_det_brute_force():
@@ -231,9 +248,9 @@ MORTAL_Z = make_morphism("xyz", x="xzy", y="zzyx", z="")
 )
 @pytest.mark.parametrize("piece_size", [1, 2, 7, words.PIECE_SIZE])
 def test_morphic_stream_matches_eager_blocks(m, start, piece_size, monkeypatch):
-    monkeypatch.setattr(words, "PIECE_SIZE", piece_size)
     step = 9_973 if piece_size == words.PIECE_SIZE else 37
     stop = 300_000 if piece_size == words.PIECE_SIZE else 3_000
+    monkeypatch.setattr(words, "PIECE_SIZE", piece_size)
     stream = MorphicStream(m, start)
     reference = _eager_fixed_point(m, start, stop)
     for n in range(1, stop, step):

@@ -3,13 +3,13 @@
 Every subcommand prints a flat, deterministic text record ("key: value" lines)
 on standard output.  Exit codes: 0 for a positive verdict, 1 for a negative
 verdict, 2 for usage errors or malformed inputs, 3 for an inconclusive run (a
-truncation, search bound, decomposition horizon or int64 bound was reached
-before a verdict).
+truncation, decomposition horizon or int64 bound was reached before a verdict).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import grading, interleave, monalg, rowen, words
@@ -28,12 +28,12 @@ def _load_morphism(args) -> tuple[words.Morphism, tuple[int, ...] | None]:
     if not args.spec:
         raise ValueError("--spec is required for this subcommand")
     morphism, file_weights = words.load_morphism_file(args.spec)
-    weights = _parse_csv_ints(args.weights) if getattr(args, "weights", None) else file_weights
+    weights = _parse_csv_ints(args.weights) if getattr(args, "weights", None) is not None else file_weights
     return morphism, weights
 
 
 def _pick_start(morphism: words.Morphism, start: str | None) -> str:
-    if start:
+    if start is not None:
         morphism.alphabet.index(start)  # a foreign letter is a usage error
         return start
     for c in morphism.alphabet.letters:
@@ -291,13 +291,18 @@ def run(argv=None) -> int:
         return 2
     except (
         rowen.IndexExceedsTruncationError,
-        rowen.NotFoundWithinBoundError,
         grading.DecompositionNotFoundError,
         OverflowError,
     ) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; send what is left to devnull so
+        # that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

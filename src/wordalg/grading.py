@@ -90,47 +90,15 @@ def _longest_true_run(mask: np.ndarray) -> int:
     return int((ends - starts).max())
 
 
-def _residue_runs(sumset: WeightSumSet, difference: int) -> list[int]:
-    """Entry r: the longest AP of difference D inside the set among those that
-    are r mod D, for r < min(D, largest sum + 1); larger residues have none."""
-    present = sumset.present
-    return [_longest_true_run(present[r::difference]) for r in range(min(difference, present.size))]
-
-
 def longest_ap(sumset: WeightSumSet, difference: int) -> int:
-    """Largest L such that t, t+D, ..., t+(L-1)D all lie in the set, exactly."""
+    """Largest L such that t, t+D, ..., t+(L-1)D all lie in the set, exactly:
+    the longest run in any residue class r mod D (residues past the largest
+    sum have none)."""
     if difference < 1:
         raise ValueError("difference must be positive")
-    return max(_residue_runs(sumset, difference))
-
-
-@dataclass(frozen=True)
-class ResidueProfile:
-    """Residue classes mod D that carry an AP of length >= the threshold, with the
-    cyclic gap tuple between consecutive residues (entries sum to D)."""
-
-    difference: int
-    ap_threshold: int
-    residues: tuple[int, ...]
-    gaps: tuple[int, ...]
-    max_value: int
-
-
-def residue_profile(sumset: WeightSumSet, difference: int, ap_threshold: int) -> ResidueProfile:
-    if difference < 2:
-        raise ValueError("difference must be at least 2")
-    if ap_threshold < 1:
-        raise ValueError("ap_threshold must be positive")
-    runs = _residue_runs(sumset, difference)
-    residues = tuple(r for r, run in enumerate(runs) if run >= ap_threshold)
-    if residues:
-        gaps = tuple(
-            residues[(k + 1) % len(residues)] - residues[k] + (difference if k + 1 == len(residues) else 0)
-            for k in range(len(residues))
-        )
-    else:
-        gaps = ()
-    return ResidueProfile(difference, ap_threshold, residues, gaps, sumset.max_value)
+    present = sumset.present
+    return max(_longest_true_run(present[r::difference])
+               for r in range(min(difference, present.size)))
 
 
 def is_rotation_primitive(gaps) -> bool:
@@ -160,15 +128,6 @@ def weight_iterates(m: Morphism, weights, u: str):
 def gcd_sequence(m: Morphism, weights, u: str, count: int) -> tuple[int, ...]:
     """Terms 0..count of ``weight_iterates``."""
     return tuple(term for _, term in zip(range(count + 1), weight_iterates(m, weights, u)))
-
-
-def running_gcd(values) -> tuple[int, ...]:
-    out = []
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
-        out.append(g)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

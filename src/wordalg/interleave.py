@@ -91,14 +91,6 @@ class UniversalSequence:
         return tuple(np.diff(self._values[: count + 1]).tolist())
 
 
-def universal_difference_sequence(count: int) -> UniversalSequence:
-    if count < 1:
-        raise ValueError("count must be positive")
-    seq = UniversalSequence()
-    seq.ensure_terms(count)
-    return seq
-
-
 def locate_pattern(seq: UniversalSequence, pattern, parity: int | None = None) -> int:
     """Smallest m with pattern equal to the differences at positions m+1..m+len.
 
@@ -185,10 +177,6 @@ class InterleaveStream(PrefixStream):
         # the doubled alphabet lists each primed companion |A| places after its letter
         codes += primed * len(base_letters)
         return decode(codes, self.alphabet.letters)
-
-
-def interleaved_prefix(spec: InterleaveSpec, n: int) -> str:
-    return InterleaveStream(spec).prefix(n)
 
 
 # ---------------------------------------------------------------------------

@@ -196,16 +196,6 @@ class NcPolynomial:
             raise ValueError("operands must share the same algebra view")
 
 
-def substitute(view: AlgebraView, pattern: str, assignment: dict[str, NcPolynomial]) -> NcPolynomial:
-    """Image of an abstract pattern word under a symbol -> polynomial assignment."""
-    result = NcPolynomial.one(view)
-    for symbol in pattern:
-        if symbol not in assignment:
-            raise ValueError(f"pattern symbol {symbol!r} is unassigned")
-        result = result * assignment[symbol]
-    return result
-
-
 # ---------------------------------------------------------------------------
 # polynomial literals:  3*xy + -1*yx + 1*     (trailing bare `*` denotes the
 # empty monomial); whitespace-insensitive; a coefficient is an integer, n/d or
@@ -395,7 +385,7 @@ def freeness_check(view: AlgebraView, gens, max_len: int) -> FreenessReport:
 
 
 # ---------------------------------------------------------------------------
-# nilpotency and dimensions
+# nilpotency of monomials
 
 
 def is_nilpotent_monomial(view: AlgebraView, monomial: str, k_max: int):
@@ -411,34 +401,3 @@ def is_nilpotent_monomial(view: AlgebraView, monomial: str, k_max: int):
         if view.is_zero_monomial(monomial * k):
             return k
     return None
-
-
-def hilbert_function(view: AlgebraView, weights, n: int) -> int:
-    """Number of nonzero monomials of weight n (the dimension of the weight-n
-    homogeneous component)."""
-    if isinstance(view, FreeView):
-        raise ValueError("hilbert_function needs a factor or cube view")
-    weights = tuple(int(w) for w in weights)
-    if len(weights) != len(view.letters) or any(w < 1 for w in weights):
-        raise ValueError("need one positive weight per letter")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 1
-    weight_of = dict(zip(view.letters, weights))
-    count = 0
-    frontier = [("", 0)]
-    while frontier:
-        word, wt = frontier.pop()
-        for c in view.letters:
-            w2 = wt + weight_of[c]
-            if w2 > n:
-                continue
-            word2 = word + c
-            if view.is_zero_monomial(word2):
-                continue
-            if w2 == n:
-                count += 1
-            else:
-                frontier.append((word2, w2))
-    return count

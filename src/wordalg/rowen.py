@@ -17,7 +17,6 @@ from math import lcm
 
 import numpy as np
 
-from .monalg import NcPolynomial
 from .words import FactorIndex, MorphicStream, PrefixStream, covering_words, decode, exact_factor_counts, make_morphism
 
 DEFAULT_MARGIN = 64
@@ -34,10 +33,6 @@ class MarginTooSmallError(ValueError):
 
 class IndexExceedsTruncationError(RuntimeError):
     """The nilpotency search approached the truncation band; result inconclusive."""
-
-
-class NotFoundWithinBoundError(RuntimeError):
-    """No witness within the configured cap (a would-be counterexample)."""
 
 
 def thue_morse_bit(i: int) -> int:
@@ -226,11 +221,11 @@ def _word_diagonal(word: str, n: int, bits: np.ndarray) -> np.ndarray:
     return vec
 
 
-def build_generators(n: int, tm: ThueMorseSequence | None = None) -> tuple[BandMatrix, BandMatrix]:
+def build_generators(n: int) -> tuple[BandMatrix, BandMatrix]:
     """Truncated generators: bit m_i at (i, i+1) for the first, 1-m_i for the second."""
     if n < 2:
         raise ValueError("truncation must be at least 2")
-    bits = (tm or THUE_MORSE).bits(n - 1)
+    bits = THUE_MORSE.bits(n - 1)
     return tuple(BandMatrix(n, {1: _word_diagonal(letter, n, bits)}) for letter in "yx")
 
 
@@ -325,58 +320,28 @@ def correspondence_scan(max_len: int, n: int, margin: int = DEFAULT_MARGIN) -> C
 
 
 # ---------------------------------------------------------------------------
-# the both-bits witness
-
-
-def n_u_witness(step: int, i_max: int, cap: int = 64, bit_at=None) -> int:
-    """Minimal n such that for every i <= i_max the bits at i, i+step, ...,
-    i+n*step contain both 0 and 1."""
-    if step < 1 or i_max < 1:
-        raise ValueError("step and i_max must be positive")
-    needed = i_max + cap * step + 1
-    if bit_at is None:
-        arr = THUE_MORSE.bits(needed)
-    else:
-        arr = np.fromiter((bit_at(i) for i in range(1, needed + 1)), dtype=np.int64, count=needed)
-    idx = np.arange(i_max, dtype=np.int64)  # 0-based index of position i = idx+1
-    undecided = idx
-    n = 0
-    while undecided.size:
-        n += 1
-        if n > cap:
-            raise NotFoundWithinBoundError(
-                f"no witness for step {step} within cap {cap} (range {i_max})"
-            )
-        same = arr[undecided + n * step] == arr[undecided]
-        undecided = undecided[same]
-    return n
-
-
-# ---------------------------------------------------------------------------
 # nilpotency of homogeneous multiples
 
 
 @dataclass(frozen=True)
 class NilpotencyResult:
     index: int
-    index_at_double: int | None
+    index_at_double: int
 
     @property
     def stable(self) -> bool:
-        return self.index_at_double is not None and self.index == self.index_at_double
+        return self.index == self.index_at_double
 
 
 def _element_words(element) -> dict[str, int]:
     """Normalize a homogeneous element over the generator symbols a, b to integer
     coefficients (scaling by a common denominator; nilpotency is unaffected)."""
-    if isinstance(element, NcPolynomial):
-        coeffs = dict(element.coeffs)
-    elif isinstance(element, dict):
+    if isinstance(element, dict):
         coeffs = {w: Fraction(c) for w, c in element.items()}
     elif element == 1:
         coeffs = {"": Fraction(1)}
     else:
-        raise ValueError("element must be an NcPolynomial, a dict or 1")
+        raise ValueError("element must be a dict or 1")
     if not coeffs:
         raise ValueError("element must be nonzero")
     for word in coeffs:
@@ -386,8 +351,8 @@ def _element_words(element) -> dict[str, int]:
     degrees = {len(w) for w in coeffs}
     if len(degrees) != 1:
         raise ValueError("element must be homogeneous")
-    denom = lcm(*(Fraction(c).denominator for c in coeffs.values()))
-    return {w: int(Fraction(c) * denom) for w, c in coeffs.items()}
+    denom = lcm(*(c.denominator for c in coeffs.values()))
+    return {w: int(c * denom) for w, c in coeffs.items()}
 
 
 def _element_operator(words_int: dict[str, int], n: int, tm: ThueMorseSequence) -> BandMatrix:
@@ -409,7 +374,6 @@ def nilpotency_index(
     side: str,
     n: int,
     margin: int = DEFAULT_MARGIN,
-    check_double: bool = True,
     tm: ThueMorseSequence | None = None,
 ) -> NilpotencyResult:
     """Smallest k with (element * generator)^k = 0 at truncation n, re-verified at
@@ -437,9 +401,7 @@ def nilpotency_index(
             power = p if power is None else power * p
         return k
 
-    index = index_at(n)
-    double = index_at(2 * n) if check_double else None
-    return NilpotencyResult(index, double)
+    return NilpotencyResult(index_at(n), index_at(2 * n))
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,6 @@ class NotProlongableError(ValueError):
     """The morphism does not extend the requested letter to an infinite word."""
 
 
-class NotRecurrentError(ValueError):
-    """Fewer than two occurrences of the factor within the horizon."""
-
-
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered finite set of single-character letters."""
@@ -497,23 +493,6 @@ def is_cube_free(word: str) -> CubeCheck:
     if best is None:
         return CubeCheck(True)
     return CubeCheck(False, best[0] + 1, best[1])
-
-
-def recurrence_gap(stream: PrefixStream, factor: str, horizon: int) -> int:
-    """Maximum gap between consecutive occurrence starts of ``factor`` in the prefix."""
-    if not factor:
-        raise ValueError("factor must be nonempty")
-    text = stream.prefix(horizon)
-    starts = []
-    i = text.find(factor)
-    while i != -1:
-        starts.append(i)
-        i = text.find(factor, i + 1)
-    if len(starts) < 2:
-        raise NotRecurrentError(
-            f"{factor!r} occurs {len(starts)} time(s) within horizon {horizon}"
-        )
-    return max(b - a for a, b in zip(starts, starts[1:]))
 
 
 class SuffixAutomaton:

@@ -1,5 +1,8 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -11,7 +14,8 @@ from wordalg import rowen
 from wordalg.cli import emit_report, run
 from wordalg.monalg import HorizonWarning
 
-REPO_MORPHISMS = Path(__file__).resolve().parent.parent / "morphisms"
+REPO = Path(__file__).resolve().parent.parent
+REPO_MORPHISMS = REPO / "morphisms"
 
 SUB_XY = "x y\nx -> xy\ny -> yyx\nweights: 1 2\n"
 TM = "x y\nx -> xy\ny -> yx\nweights: 1 2\n"
@@ -339,6 +343,31 @@ def test_growth_command_empty_period_exits_two(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: period must be nonempty\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["certify", "--weights="], "expected 2 weights, got 0"),
+    (["scan", "--weights="], "expected 2 weights, got 0"),
+    (["word", "--start=", "--length", "5"], "error: '' is not a letter of ('x', 'y')"),
+    (["certify", "--start="], "error: '' is not a letter of ('x', 'y')"),
+], ids=["certify-weights", "scan-weights", "word-start", "certify-start"])
+def test_empty_weights_or_start_exits_two(argv, message, capsys):
+    # an empty value is a malformed input, not a request for the default
+    _assert_usage_error([*argv, "--spec", str(REPO_MORPHISMS / "sub_xy.morph")], message, capsys)
+
+
+def test_reader_closing_stdout_early_leaves_no_traceback():
+    # the report is longer than a pipe buffer, so the write meets the closed pipe
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    argv = ["word", "--spec", str(REPO_MORPHISMS / "sub_xy.morph"), "--length", "200000"]
+    proc = subprocess.Popen([sys.executable, "-m", "wordalg", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(5) == b"xyyyx"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err
 
 
 fuzz_periods = st.one_of(st.none(), st.text(alphabet="xy →é\x00", max_size=4))

@@ -1,6 +1,5 @@
 import itertools
 import math
-import random
 
 import numpy as np
 import pytest
@@ -16,8 +15,6 @@ from wordalg.grading import (
     graded_nilpotence_scan,
     is_rotation_primitive,
     longest_ap,
-    residue_profile,
-    running_gcd,
     weight_sum_prefix,
     WeightSumSet,
 )
@@ -108,41 +105,6 @@ def test_longest_ap_stable_for_certified_ternary_word(sub_xyz):
         assert longest_ap(small, d) == longest_ap(large, d)
 
 
-# -- residue profiles --------------------------------------------------------------
-
-
-def test_residue_profile_pure_progression():
-    s = _sumset_from_values(range(0, 300, 3))
-    prof = residue_profile(s, 3, 10)
-    assert prof.residues == (0,)
-    assert prof.gaps == (3,)
-
-
-def test_residue_profile_full_line():
-    s = _sumset_from_values(range(300))
-    prof = residue_profile(s, 2, 10)
-    assert prof.residues == (0, 1)
-    assert prof.gaps == (1, 1)
-
-
-def test_residue_profile_empty_for_certified_word(xy_stream):
-    s = weight_sum_prefix(xy_stream, (1, 2), 100_000)
-    prof = residue_profile(s, 2, 50)
-    assert prof.residues == ()
-    assert prof.gaps == ()
-
-
-def test_residue_profile_gaps_sum_to_difference():
-    rng = random.Random(7)
-    for _ in range(20):
-        d = rng.randint(2, 9)
-        values = {rng.randrange(0, 500) for _ in range(200)}
-        prof = residue_profile(_sumset_from_values(values), d, 3)
-        if prof.gaps:
-            assert sum(prof.gaps) == d
-            assert all(g > 0 for g in prof.gaps)
-
-
 # -- rotation primitivity ------------------------------------------------------------
 
 
@@ -176,7 +138,6 @@ def test_rotation_primitive_equals_nonrepetition_brute_force():
 
 def test_gcd_sequence_example_xy(sub_xy):
     assert gcd_sequence(sub_xy, (1, 2), "xyy", 2) == (5, 13, 34)
-    assert running_gcd((5, 13, 34)) == (5, 1, 1)
 
 
 def test_gcd_sequence_example_xyz_oracle(sub_xyz):

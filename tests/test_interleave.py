@@ -17,12 +17,10 @@ from wordalg.interleave import (
     _block_differences,
     base_morphism,
     construction_pipeline,
-    interleaved_prefix,
     locate_pattern,
     prime_copy,
     primed_alphabet,
     primed_companion,
-    universal_difference_sequence,
     unprime,
 )
 from wordalg.monalg import HorizonWarning
@@ -66,7 +64,7 @@ def test_block_differences_match_oracle(total):
 
 
 def test_universal_sequence_first_values():
-    seq = universal_difference_sequence(12)
+    seq = UniversalSequence()
     assert seq.values(12) == (0, 1, 3, 4, 5, 8, 9, 11, 13, 14, 15, 16, 17)
     assert seq.differences(12) == (1, 2, 1, 1, 3, 1, 2, 2, 1, 1, 1, 1)
 
@@ -78,8 +76,8 @@ def test_universal_sequence_matches_oracle():
 
 
 def test_universal_sequence_reproducible():
-    a = universal_difference_sequence(500)
-    b = universal_difference_sequence(500)
+    a = UniversalSequence()
+    b = UniversalSequence()
     assert a.values(500) == b.values(500)
     assert a.order_tag == b.order_tag == "sum-length-lex"
 
@@ -161,8 +159,8 @@ def test_unprime_inverts_prime_copy(word):
 def test_interleaved_prefix_start(xy_stream):
     spec = InterleaveSpec(xy_stream, UniversalSequence())
     # segments: w[1,1] unprimed, w[2,3] primed, w[4,4] unprimed, ...
-    assert interleaved_prefix(spec, 4) == "xYYy"
-    assert interleaved_prefix(spec, 0) == ""
+    assert InterleaveStream(spec).prefix(4) == "xYYy"
+    assert InterleaveStream(spec).prefix(0) == ""
 
 
 # the interleaved word built one segment at a time, straight from the oracle
@@ -247,7 +245,7 @@ def test_alternating_pattern_witness_is_a_factor(xy_stream, tilde_stream):
     # witness monomial cut from the base word at an even occurrence of the
     # pattern is a factor of the interleaved word, so the image of the pattern
     # under A -> x+y, B -> x'+y' has nonempty support
-    from wordalg.monalg import NcPolynomial, WordFactorView, substitute
+    from wordalg.monalg import NcPolynomial, WordFactorView
 
     spec = tilde_stream.spec
     seq = spec.sequence
@@ -279,7 +277,9 @@ def test_alternating_pattern_witness_is_a_factor(xy_stream, tilde_stream):
             abstract = "".join(
                 ("A" if t % 2 == 0 else "B") * block for t, block in enumerate(pattern)
             )
-            image = substitute(view, abstract, assignment)
+            image = NcPolynomial.one(view)
+            for symbol in abstract:
+                image = image * assignment[symbol]
             assert witness in image.coeffs
             assert image.coeffs[witness] == 1
 

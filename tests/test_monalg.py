@@ -18,14 +18,12 @@ from wordalg.monalg import (
     WordFactorView,
     format_poly_literal,
     freeness_check,
-    hilbert_function,
     is_nilpotent_monomial,
     linear_independence,
     parse_poly_literal,
     pattern_images,
-    substitute,
 )
-from wordalg.words import SuffixAutomaton, is_cube_free
+from wordalg.words import SuffixAutomaton
 
 
 @pytest.fixture(scope="module")
@@ -152,30 +150,6 @@ def test_multiply_bilinear(xy_view):
     p = NcPolynomial(xy_view, {"xy": 1, "yy": 2})
     assert (x + y) * p == x * p + y * p
     assert p * (x + y) == p * x + p * y
-
-
-def test_substitute_examples(tilde_view, xy_view):
-    gx = NcPolynomial(tilde_view, {"x": 1, "y": 1})
-    gy = NcPolynomial(tilde_view, {"X": 1, "Y": 1})
-    image = substitute(tilde_view, "AB", {"A": gx, "B": gy})
-    assert 0 < len(image.coeffs) <= 4
-    assert set(image.support()) <= {"xX", "xY", "yX", "yY"}
-    assert all(c == 1 for c in image.coeffs.values())
-
-    single = substitute(xy_view, "A", {"A": NcPolynomial(xy_view, {"x": 1, "y": 1})})
-    assert single.coeffs == {"x": Fraction(1), "y": Fraction(1)}
-
-    cube = CubeIdealView("xy")
-    g = NcPolynomial(cube, {"x": 1, "y": 1})
-    square = substitute(cube, "AA", {"A": g})
-    assert square.coeffs == {w: Fraction(1) for w in ("xx", "xy", "yx", "yy")}
-
-    with pytest.raises(ValueError):
-        substitute(cube, "AB", {"A": g})
-
-
-def test_substitute_empty_pattern_is_identity(xy_view):
-    assert substitute(xy_view, "", {}) == NcPolynomial.one(xy_view)
 
 
 def _summed(terms):
@@ -451,37 +425,6 @@ def test_is_nilpotent_monomial_tm_view(tm_view):
 
 def test_is_nilpotent_monomial_free_view():
     assert is_nilpotent_monomial(FreeView("x"), "x", 6) is None
-
-
-def test_hilbert_function_examples(tm_view):
-    assert hilbert_function(tm_view, (1, 1), 0) == 1
-    assert hilbert_function(tm_view, (1, 1), 1) == 2
-    assert hilbert_function(tm_view, (1, 1), 2) == 4
-    # weighted dimension agrees with direct enumeration of weighted factors
-    text = tm_view.stream.prefix(10_000)
-    seen = {text[i : i + k] for k in range(1, 7) for i in range(len(text) - k + 1)}
-    expected = sum(1 for f in seen if f.count("x") + 2 * f.count("y") == 4)
-    assert hilbert_function(tm_view, (1, 2), 4) == expected
-    # unit weights count the distinct factors of length n
-    assert hilbert_function(tm_view, (1, 1), 6) == sum(1 for f in seen if len(f) == 6)
-
-
-def test_hilbert_function_cube_view_matches_enumeration():
-    view = CubeIdealView("xy")
-    import itertools
-
-    for n in range(1, 6):
-        expected = sum(
-            1
-            for t in itertools.product("xy", repeat=n)
-            if is_cube_free("".join(t)).is_cube_free
-        )
-        assert hilbert_function(view, (1, 1), n) == expected
-
-
-def test_hilbert_function_rejects_free_view():
-    with pytest.raises(ValueError):
-        hilbert_function(FreeView("xy"), (1, 1), 3)
 
 
 def test_tm_cumulative_growth_is_quadratic(tm_view):

@@ -12,7 +12,6 @@ from wordalg.rowen import (
     BandMatrix,
     IndexExceedsTruncationError,
     MarginTooSmallError,
-    NotFoundWithinBoundError,
     ThueMorseSequence,
     _element_operator,
     _element_words,
@@ -21,7 +20,6 @@ from wordalg.rowen import (
     correspondence_scan,
     evaluate_word,
     growth_profile,
-    n_u_witness,
     nilpotency_index,
     thue_morse_bit,
     tm_word_stream,
@@ -271,36 +269,6 @@ def test_a_nonzero_word_that_is_no_factor_is_a_mismatch(monkeypatch):
     assert not vanishing_matches_factor("xy", evaluate_word("xy", 512))
 
 
-# -- the both-bits witness ----------------------------------------------------------------
-
-
-def test_n_u_witness_step_one():
-    assert n_u_witness(1, 10_000) == 2  # no three equal consecutive bits
-
-
-def test_n_u_witness_small_steps():
-    # frozen from an independent scan over the first 10^4 indices
-    assert n_u_witness(2, 10_000) == 2
-    assert n_u_witness(3, 10_000) == 8
-
-
-def test_n_u_witness_matches_naive_scan():
-    for step in (1, 2, 3, 4, 5):
-        expected = 0
-        for i in range(1, 2001):
-            base = thue_morse_bit(i)
-            j = 1
-            while thue_morse_bit(i + j * step) == base:
-                j += 1
-            expected = max(expected, j)
-        assert n_u_witness(step, 2000) == expected
-
-
-def test_n_u_witness_constant_oracle_fails():
-    with pytest.raises(NotFoundWithinBoundError):
-        n_u_witness(1, 100, cap=16, bit_at=lambda i: 0)
-
-
 # -- nilpotency ------------------------------------------------------------------------------
 
 
@@ -338,14 +306,14 @@ def test_nilpotency_index_exceeds_truncation():
     # the full shift is not nilpotent at any index independent of the truncation,
     # so the search must bail out instead of reporting a spurious index
     with pytest.raises(IndexExceedsTruncationError):
-        nilpotency_index({"a": 1, "b": 1}, "a", 128, check_double=False, tm=_AllOnes())
+        nilpotency_index({"a": 1, "b": 1}, "a", 128, tm=_AllOnes())
 
 
 def test_nilpotency_index_checks_the_band_at_the_first_power():
     # (abba)a maps to yxxyy, a Thue-Morse factor, so the first power is nonzero
     # on the infinite word; at truncation 4 its band of 5 is cut off entirely
     with pytest.raises(IndexExceedsTruncationError, match="k=1"):
-        nilpotency_index({"abba": 1}, "a", 4, margin=0, check_double=False)
+        nilpotency_index({"abba": 1}, "a", 4, margin=0)
 
 
 class _AllOnes(ThueMorseSequence):

@@ -11,7 +11,6 @@ from wordalg.words import (
     FactorIndex,
     MorphicStream,
     NotProlongableError,
-    NotRecurrentError,
     PeriodicStream,
     SuffixAutomaton,
     analyze_morphism,
@@ -31,7 +30,6 @@ from wordalg.words import (
     mortal_letters,
     parikh,
     parse_morphism_spec,
-    recurrence_gap,
     word_weight,
 )
 
@@ -462,23 +460,7 @@ def test_cube_free_matches_brute_force(word):
         assert (check.position, check.period) == brute
 
 
-# -- recurrence and complexity ----------------------------------------------------
-
-
-def test_recurrence_examples(tm_stream):
-    assert recurrence_gap(PeriodicStream("xy"), "x", 100) == 2
-    assert recurrence_gap(tm_stream, "y", 10_000) <= 3
-    gap_yx = recurrence_gap(tm_stream, "yx", 10_000)
-    assert gap_yx == 4  # frozen from a naive scan of the prefix
-    # independent scan oracle
-    text = tm_stream.prefix(10_000)
-    starts = [i for i in range(len(text)) if text.startswith("yx", i)]
-    assert gap_yx == max(b - a for a, b in zip(starts, starts[1:]))
-
-
-def test_recurrence_requires_two_occurrences():
-    with pytest.raises(NotRecurrentError):
-        recurrence_gap(PeriodicStream("xy"), "yy", 100)
+# -- complexity ------------------------------------------------------------------
 
 
 @given(n=st.integers(0, 8))

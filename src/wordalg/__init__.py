@@ -23,7 +23,6 @@ from .words import (
 from .grading import (
     Certificate,
     certify_graded_nilpotence,
-    gcd_sequence,
     graded_nilpotence_scan,
     longest_ap,
     weight_sum_prefix,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 from . import grading, interleave, monalg, rowen, words
 
@@ -172,7 +173,9 @@ def _cmd_rowen(args) -> tuple[int, str]:
         record[f"nilpotency_stable_{side}"] = "true" if result.stable else "false"
         ok &= result.stable
 
-    if args.word:
+    if args.word is not None:
+        if not args.word:
+            raise ValueError("--word must be nonempty")
         if set(args.word) - {"a", "b"}:
             raise ValueError(f"--word letters must be a or b, got {args.word!r}")
         letters = args.word.translate(rowen.AB_TO_WORD)
@@ -277,6 +280,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """One `warning:` line for a HorizonWarning; Python's format for any other."""
+    if issubclass(category, monalg.HorizonWarning):
+        sys.stderr.write(f"warning: {message}\n")
+    else:
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
 def run(argv=None) -> int:
     """Parse arguments, execute, print the report; return the exit code."""
     parser = _build_parser()
@@ -285,7 +296,9 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code, text = args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            code, text = args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -53,15 +53,11 @@ class WeightSumSet:
     sums: np.ndarray  # strictly increasing int64, sums[0] == 0
 
     @cached_property
-    def present(self) -> np.ndarray:
-        """present[v] is True iff v is a weight sum (v = 0..max_value)."""
-        mask = np.zeros(self.max_value + 1, dtype=bool)
-        mask[self.sums] = True
+    def absent(self) -> np.ndarray:
+        """absent[v] is True iff v is not a weight sum (v = 0..max_value)."""
+        mask = np.ones(self.max_value + 1, dtype=bool)
+        mask[self.sums] = False
         return mask
-
-    @property
-    def horizon(self) -> int:
-        return len(self.sums) - 1
 
     @property
     def max_value(self) -> int:
@@ -77,28 +73,24 @@ def weight_sum_prefix(stream: PrefixStream, weights, n: int) -> WeightSumSet:
     return WeightSumSet(weights, sums)
 
 
-def _longest_true_run(mask: np.ndarray) -> int:
-    if mask.size == 0:
-        return 0
-    padded = np.zeros(mask.size + 2, dtype=np.int8)
-    padded[1:-1] = mask
-    steps = np.diff(padded)
-    starts = np.flatnonzero(steps == 1)
-    if starts.size == 0:
-        return 0
-    ends = np.flatnonzero(steps == -1)
-    return int((ends - starts).max())
-
-
 def longest_ap(sumset: WeightSumSet, difference: int) -> int:
     """Largest L such that t, t+D, ..., t+(L-1)D all lie in the set, exactly:
     the longest run in any residue class r mod D (residues past the largest
-    sum have none)."""
+    sum have none).  A class's runs lie between its consecutive absent
+    values, before the first of them or after the last."""
     if difference < 1:
         raise ValueError("difference must be positive")
-    present = sumset.present
-    return max(_longest_true_run(present[r::difference])
-               for r in range(min(difference, present.size)))
+    absent = sumset.absent
+    best = 0
+    for r in range(min(difference, absent.size)):
+        cells = absent[r::difference]
+        gaps = np.flatnonzero(cells)
+        if gaps.size == 0:
+            best = max(best, cells.size)
+            continue
+        inner = int(np.diff(gaps).max(initial=1)) - 1
+        best = max(best, int(gaps[0]), cells.size - 1 - int(gaps[-1]), inner)
+    return best
 
 
 def is_rotation_primitive(gaps) -> bool:
@@ -123,11 +115,6 @@ def weight_iterates(m: Morphism, weights, u: str):
     while True:
         yield sum(w * c for w, c in zip(weights, v))
         v = mat_vec(mat, v)
-
-
-def gcd_sequence(m: Morphism, weights, u: str, count: int) -> tuple[int, ...]:
-    """Terms 0..count of ``weight_iterates``."""
-    return tuple(term for _, term in zip(range(count + 1), weight_iterates(m, weights, u)))
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,11 @@ def test_rowen_word_outside_a_b_exits_two(word, capsys):
     _assert_usage_error(["rowen", "--N", "300", "--word", word], f"--word letters must be a or b, got {word!r}", capsys)
 
 
+def test_rowen_empty_word_exits_two(capsys):
+    # an empty --word is a malformed input, not a request for the full scan
+    _assert_usage_error(["rowen", "--N", "300", "--maxlen", "2", "--word="], "error: --word must be nonempty\n", capsys)
+
+
 def test_rowen_word_error_names_the_word_as_typed(capsys):
     # positions 1000-1099 of the Thue-Morse word: a factor, first seen past N = 200
     typed = rowen.THUE_MORSE.word_prefix(1100)[1000:].translate(str.maketrans("yx", "ab"))
@@ -356,12 +361,24 @@ def test_empty_weights_or_start_exits_two(argv, message, capsys):
     _assert_usage_error([*argv, "--spec", str(REPO_MORPHISMS / "sub_xy.morph")], message, capsys)
 
 
+def _cli_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+
+
+def test_horizon_warning_is_one_stderr_line():
+    # a fresh interpreter, so the warning meets Python's default filters
+    argv = ["free", "--view", "tilde", "--gens", "1*x", "--Lfree", "3", "--horizon", "1000"]
+    proc = subprocess.run([sys.executable, "-m", "wordalg", *argv],
+                          capture_output=True, text=True, env=_cli_env(), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == "warning: monomials unseen within horizon 1000 are treated as zero (first: 'xxx')\n"
+
+
 def test_reader_closing_stdout_early_leaves_no_traceback():
     # the report is longer than a pipe buffer, so the write meets the closed pipe
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
     argv = ["word", "--spec", str(REPO_MORPHISMS / "sub_xy.morph"), "--length", "200000"]
     proc = subprocess.Popen([sys.executable, "-m", "wordalg", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
     assert proc.stdout.read(5) == b"xyyyx"
     proc.stdout.close()
     err = proc.stderr.read().decode()

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wordalg import monalg
@@ -11,10 +11,10 @@ from wordalg.grading import (
     CERTIFIED,
     NOT_APPLICABLE,
     certify_graded_nilpotence,
-    gcd_sequence,
     graded_nilpotence_scan,
     is_rotation_primitive,
     longest_ap,
+    weight_iterates,
     weight_sum_prefix,
     WeightSumSet,
 )
@@ -75,6 +75,9 @@ def test_longest_ap_singleton():
     values=st.sets(st.integers(0, 400), min_size=1, max_size=120),
     d=st.integers(1, 9),
 )
+@example(values=set(range(7)), d=2)  # no absent value in either class: 4
+@example(values={0, 3, 6, 7, 8, 10}, d=3)  # 0, 3, 6 opens its class: 3
+@example(values={0, 2, 5, 7, 9}, d=2)  # 5, 7, 9 closes its class: 3
 @settings(max_examples=200, deadline=None)
 def test_longest_ap_matches_brute_force(values, d):
     values = values | {0}
@@ -137,11 +140,11 @@ def test_rotation_primitive_equals_nonrepetition_brute_force():
 
 
 def test_gcd_sequence_example_xy(sub_xy):
-    assert gcd_sequence(sub_xy, (1, 2), "xyy", 2) == (5, 13, 34)
+    assert tuple(itertools.islice(weight_iterates(sub_xy, (1, 2), "xyy"), 3)) == (5, 13, 34)
 
 
 def test_gcd_sequence_example_xyz_oracle(sub_xyz):
-    seq = gcd_sequence(sub_xyz, (1, 2, 3), "xz", 1)
+    seq = tuple(itertools.islice(weight_iterates(sub_xyz, (1, 2, 3), "xz"), 2))
     assert seq[0] == 4
     # independent oracle: expand the image and sum letter weights
     oracle = word_weight(sub_xyz.alphabet, sub_xyz.apply("xz"), (1, 2, 3))
@@ -153,12 +156,12 @@ def test_gcd_sequence_example_xyz_oracle(sub_xyz):
 @settings(max_examples=40, deadline=None)
 def test_gcd_sequence_matches_image_weights(m, j, sub_xy):
     # weight of the j-th iterated image, computed by direct expansion
-    seq = gcd_sequence(sub_xy, (1, 2), m, j)
+    seq = tuple(itertools.islice(weight_iterates(sub_xy, (1, 2), m), j + 1))
     assert seq[j] == word_weight(sub_xy.alphabet, sub_xy.iterate(m, j), (1, 2))
 
 
 def test_gcd_sequence_j0_is_weight(sub_xy):
-    assert gcd_sequence(sub_xy, (1, 2), "yxy", 0) == (
+    assert tuple(itertools.islice(weight_iterates(sub_xy, (1, 2), "yxy"), 1)) == (
         word_weight(sub_xy.alphabet, "yxy", (1, 2)),
     )
 

@@ -3,7 +3,8 @@
 Every subcommand prints a flat, deterministic text record ("key: value" lines)
 on standard output.  Exit codes: 0 for a positive verdict, 1 for a negative
 verdict, 2 for usage errors or malformed inputs, 3 for an inconclusive run (a
-truncation, decomposition horizon or int64 bound was reached before a verdict).
+truncation, decomposition horizon, int64 bound or memory bound was reached
+before a verdict).
 """
 
 from __future__ import annotations
@@ -306,6 +307,7 @@ def run(argv=None) -> int:
         rowen.IndexExceedsTruncationError,
         grading.DecompositionNotFoundError,
         OverflowError,
+        MemoryError,
     ) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3

@@ -7,6 +7,12 @@ that the weights are not all equal, that the incidence matrix has determinant
 greatest common divisor one.  The empirical counterpart is the AP scan: an
 arithmetic progression of difference D in the weight-sum set that keeps growing
 with the horizon witnesses a nonvanishing product of degree-D monomials.
+
+The longest AP of difference D at the smallest horizon, m, never exceeds the
+supremum over the whole infinite word, the nilpotency index in degree D.  When
+the stream's covering words (``words.covering_words``) show no longer AP, m is
+that supremum, so the scan reports m at every horizon without reading the
+longer prefixes for that degree.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .words import (
     PrefixStream,
     analyze_morphism,
     check_weights,
+    covering_words,
     encode,
     format_morphism_spec,
     incidence_matrix,
@@ -64,13 +71,40 @@ class WeightSumSet:
         return int(self.sums[-1])
 
 
-def weight_sum_prefix(stream: PrefixStream, weights, n: int) -> WeightSumSet:
-    """Weight-sum set over the first ``n`` letters of the stream."""
-    weights = check_weights(stream.alphabet, weights)
-    codes = encode(stream.prefix(n), stream.alphabet.letters)
+def _text_sums(text: str, letters, weights: tuple[int, ...]) -> WeightSumSet:
+    """Weight-sum set of ``text``, letter i of ``letters`` weighing weights[i].
+    Raises OverflowError when the total weight does not fit in int64."""
+    codes = encode(text, letters)
+    total = sum(int(np.count_nonzero(codes == i)) * w for i, w in enumerate(weights))
+    if total >= 2**63:
+        raise OverflowError(f"total weight {total} of {codes.size} letters exceeds int64")
     sums = np.zeros(codes.size + 1, dtype=np.int64)
     np.cumsum(np.array(weights, dtype=np.int64)[codes], out=sums[1:])
     return WeightSumSet(weights, sums)
+
+
+def weight_sum_prefix(stream: PrefixStream, weights, n: int) -> WeightSumSet:
+    """Weight-sum set over the first ``n`` letters of the stream."""
+    weights = check_weights(stream.alphabet, weights)
+    return _text_sums(stream.prefix(n), stream.alphabet.letters, weights)
+
+
+def covering_sums(stream: PrefixStream, weights, k: int) -> list[WeightSumSet]:
+    """Weight-sum sets of ``covering_words(stream, k)``, whose factors are
+    every factor of length <= k of the stream's word; raises ValueError for
+    a stream that ``covering_words`` rejects."""
+    weights = check_weights(stream.alphabet, weights)
+    return [_text_sums(word, stream.alphabet.letters, weights) for word in covering_words(stream, k)]
+
+
+def is_ap_supremum(covers: list[WeightSumSet], difference: int, m: int) -> bool:
+    """True iff no AP of this difference has more than m terms in ``covers``.
+
+    An AP of m + 1 terms spans a factor of weight m * D, so of at most
+    m * D // min(weights) letters.  When ``covers`` are the covering sums for
+    at least that length, True means that no AP in the whole infinite word
+    is longer than m."""
+    return all(longest_ap(s, difference) <= m for s in covers)
 
 
 def longest_ap(sumset: WeightSumSet, difference: int) -> int:
@@ -254,7 +288,8 @@ class ScanReport:
 def graded_nilpotence_scan(stream: PrefixStream, weights, d_max: int, horizons) -> ScanReport:
     """Longest-AP lengths per difference and horizon; a difference is flagged when
     its AP length grows with the horizon (empirical failure of graded nilpotence
-    in that degree)."""
+    in that degree).  A difference whose length at the smallest horizon passes
+    ``is_ap_supremum`` keeps that length at every horizon."""
     horizons = tuple(int(h) for h in horizons)
     if not horizons or list(horizons) != sorted(horizons):
         raise ValueError("horizons must be increasing and nonempty")
@@ -265,10 +300,26 @@ def graded_nilpotence_scan(stream: PrefixStream, weights, d_max: int, horizons) 
     # the sums of a prefix are the head of the sums of any longer prefix
     full = weight_sum_prefix(stream, weights, horizons[-1])
     sumsets = [WeightSumSet(full.weights, full.sums[: h + 1]) for h in horizons]
+    first = {d: longest_ap(sumsets[0], d) for d in range(1, d_max + 1)}
+    # an AP longer than first[d] would span at most span[d] letters; a span
+    # past the smallest horizon would make the check cost more than its scan
+    span = {d: m * d // min(full.weights) for d, m in first.items()}
+    candidates = [d for d in first if span[d] <= horizons[0]] if len(horizons) > 1 else []
+    settled = set()
+    if candidates:
+        try:
+            covers = covering_sums(stream, full.weights, max(span[d] for d in candidates))
+        except ValueError:  # not a primitive morphic or periodic word
+            pass
+        else:
+            settled = {d for d in candidates if is_ap_supremum(covers, d, first[d])}
     table: dict[int, tuple[int, ...]] = {}
     flagged = []
-    for d in range(1, d_max + 1):
-        lengths = tuple(longest_ap(s, d) for s in sumsets)
+    for d, m in first.items():
+        if d in settled:
+            lengths = (m,) * len(horizons)
+        else:
+            lengths = (m, *(longest_ap(s, d) for s in sumsets[1:]))
         table[d] = lengths
         if lengths[-1] > GROWTH_RATIO * lengths[0] and lengths[-1] > GROWTH_FLOOR:
             flagged.append(d)

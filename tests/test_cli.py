@@ -7,7 +7,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wordalg import rowen
@@ -461,16 +461,33 @@ def test_certify_command_fuzzed_argv_never_escapes(spec, start, weights, u, jmax
     _assert_never_escapes(argv)
 
 
+# a weight-sum mask too large to allocate, and two total weights past int64
+HUGE_WEIGHTS = ["1,576460752303423488", "3074457345618258603,3074457345618258603",
+                "4611686018427387904,4611686018427387904"]
+
+
 @given(
     spec=fuzz_specs, start=fuzz_starts, weights=fuzz_weights,
     dmax=st.integers(-1, 4), horizons=fuzz_horizons,
 )
+@example(spec=str(REPO_MORPHISMS / "sub_xy.morph"), start=None, weights=HUGE_WEIGHTS[0], dmax=2, horizons="2,6")
+@example(spec=str(REPO_MORPHISMS / "sub_xy.morph"), start=None, weights=HUGE_WEIGHTS[1], dmax=2, horizons="2,6")
+@example(spec=str(REPO_MORPHISMS / "sub_xy.morph"), start=None, weights=HUGE_WEIGHTS[2], dmax=2, horizons="2,6")
 @settings(max_examples=100, deadline=None)
 def test_scan_command_fuzzed_argv_never_escapes(spec, start, weights, dmax, horizons):
     argv = [*_spec_argv("scan", spec, start), "--dmax", str(dmax), "--horizons", horizons]
     if weights is not None:
         argv += ["--weights", weights]
     _assert_never_escapes(argv)
+
+
+@pytest.mark.parametrize("weights", HUGE_WEIGHTS)
+def test_scan_huge_weights_are_inconclusive(weights, capsys):
+    argv = ["scan", "--spec", str(REPO_MORPHISMS / "sub_xy.morph"), "--dmax", "2", "--horizons", "2,6",
+            "--weights", weights]
+    assert run(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("inconclusive: ")
 
 
 @given(horizon=st.integers(90, 3000), lfree=st.integers(0, 3), dmax=st.integers(0, 4))

@@ -2,7 +2,7 @@
 
 Every command of the README's "Command line" block runs in-process through
 ``wordalg.cli.run``; the three ``scripts/`` run at their defaults in a child
-interpreter.  A few factor-view commands the README lacks are pinned too.
+interpreter.  A few factor-view commands and one scan the README lacks are pinned too.
 Each golden file under ``tests/goldens/`` holds the exit code on its first
 line (``# exit <code>``) and the exact stdout after it.
 
@@ -47,6 +47,8 @@ COMMANDS: dict[str, tuple[str, list[str]]] = {
     # dependent only because xxx is unseen within the horizon
     "free_tilde_unseen": ("cli", ["free", "--view", "tilde", "--gens", "1*x", "--Lfree", "3", "--horizon", "1000"]),
     "free_word_sub_xy": ("cli", ["free", "--view", "word", "--spec", "morphisms/sub_xy.morph", "--gens", "1*x;1*y", "--Lfree", "4"]),
+    # every degree bounded: each row is settled at the smallest horizon
+    "scan_sub_xyz": ("cli", ["scan", "--spec", "morphisms/sub_xyz.morph", "--dmax", "24", "--horizons", "1000,100000"]),
     "rowen_word_aaa": ("cli", ["rowen", "--N", "512", "--horizon", "10000", "--word", "aaa"]),
     # the scripts at their defaults
     "script_certify_report": ("script", ["certify_report.py"]),

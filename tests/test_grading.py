@@ -1,17 +1,20 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wordalg import monalg
+from wordalg import interleave, monalg
 from wordalg.grading import (
     CERTIFIED,
     NOT_APPLICABLE,
     certify_graded_nilpotence,
+    covering_sums,
     graded_nilpotence_scan,
+    is_ap_supremum,
     is_rotation_primitive,
     longest_ap,
     weight_iterates,
@@ -22,9 +25,24 @@ from wordalg.words import (
     MorphicStream,
     NotProlongableError,
     PeriodicStream,
+    is_primitive,
     make_morphism,
+    parse_morphism_spec,
     word_weight,
 )
+
+MORPHISMS = Path(__file__).resolve().parent.parent / "morphisms"
+BUNDLED_SPECS = ["sub_xy.morph", "sub_xyz.morph", "thue_morse.morph"]
+
+
+def _spec_stream(text):
+    """The fixed point of a morphism spec on its first letter, and the spec's weights."""
+    m, weights = parse_morphism_spec(text)
+    return MorphicStream(m, m.alphabet.letters[0]), weights
+
+
+def _bundled_stream(name):
+    return _spec_stream((MORPHISMS / name).read_text(encoding="utf-8"))
 
 
 def _sumset_from_values(values):
@@ -258,6 +276,68 @@ def test_scan_reads_each_horizon_as_a_head_of_one_build(tm_morphism, weights, ho
         separate = tuple(longest_ap(weight_sum_prefix(stream, weights, h), d) for h in horizons)
         assert report.table[d] == separate
     assert np.array_equal(report.sums.sums, weight_sum_prefix(stream, weights, horizons[-1]).sums)
+
+
+@st.composite
+def scan_cases(draw):
+    """A primitive morphism over 2-3 letters prolongable on x, with weights
+    1-4, d_max <= 8 and two or three small increasing horizons."""
+    letters = "xyz"[: draw(st.integers(2, 3))]
+    images = {c: draw(st.text(alphabet=letters, min_size=1, max_size=4)) for c in letters}
+    images["x"] = "x" + draw(st.text(alphabet=letters, min_size=1, max_size=3))
+    m = make_morphism(letters, **images)
+    assume(is_primitive(m))
+    weights = tuple(draw(st.integers(1, 4)) for _ in letters)
+    horizons = tuple(sorted(draw(st.lists(st.integers(0, 400), min_size=2, max_size=3))))
+    return MorphicStream(m, "x"), weights, draw(st.integers(1, 8)), horizons
+
+
+@given(case=scan_cases())
+@example(case=(*_bundled_stream("sub_xy.morph"), 8, (100, 1000)))
+@example(case=(*_bundled_stream("sub_xyz.morph"), 8, (100, 1000, 3000)))
+@example(case=(*_bundled_stream("thue_morse.morph"), 8, (100, 1000)))
+# the alphabet line is not in sorted order: y weighs 1 and x weighs 2
+@example(case=(*_spec_stream("y x\nx -> xy\ny -> yyx\nweights: 1 2\n"), 8, (50, 500)))
+@example(case=(PeriodicStream("xyy"), (1, 2), 8, (10, 100, 1000)))
+# covering_words rejects these two, so every degree reads every horizon
+@example(case=(MorphicStream(make_morphism("xy", x="xy", y="y"), "x"), (1, 2), 8, (50, 500)))
+@example(case=(interleave.tilde_stream(), (1, 2, 1, 2), 8, (100, 1000)))
+@settings(max_examples=100, deadline=None)
+def test_scan_matches_a_longest_ap_per_horizon(case):
+    stream, weights, d_max, horizons = case
+    report = graded_nilpotence_scan(stream, weights, d_max, horizons)
+    for d in range(1, d_max + 1):
+        assert report.table[d] == tuple(longest_ap(weight_sum_prefix(stream, weights, h), d) for h in horizons)
+
+
+def test_covering_sums_reject_what_covering_words_rejects(tilde_stream):
+    for stream, weights in ((MorphicStream(make_morphism("xy", x="xy", y="y"), "x"), (1, 2)),
+                            (tilde_stream, (1, 2, 1, 2))):
+        with pytest.raises(ValueError, match="exact factors"):
+            covering_sums(stream, weights, 10)
+
+
+@pytest.mark.parametrize("name", BUNDLED_SPECS)
+def test_ap_supremum_check_accepts_the_bound_and_rejects_one_less(name):
+    # m is each degree's AP length at horizon 1e5; the covering words for the
+    # longest span hold every factor that an AP of m + 1 terms can span
+    stream, weights = _bundled_stream(name)
+    sums = weight_sum_prefix(stream, weights, 100_000)
+    lengths = {d: longest_ap(sums, d) for d in range(1, 13)}
+    covers = covering_sums(stream, weights, max(m * d // min(weights) for d, m in lengths.items()))
+    for d, m in lengths.items():
+        assert not is_ap_supremum(covers, d, m - 1)
+        if name != "thue_morse.morph" or d % 3:
+            # every bounded degree of the bundled specs reaches its bound by 1e5
+            assert is_ap_supremum(covers, d, m)
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_ap_supremum_check_rejects_unbounded_thue_morse_degrees(tm_morphism, d):
+    # the blocks xy and yx both weigh 3, so every AP length is exceeded
+    stream = MorphicStream(tm_morphism, "x")
+    for m in range(1, 65):
+        assert not is_ap_supremum(covering_sums(stream, (1, 2), m * d), d, m)
 
 
 def test_scan_validates_horizons(xy_stream):

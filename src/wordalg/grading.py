@@ -12,7 +12,10 @@ The longest AP of difference D at the smallest horizon, m, never exceeds the
 supremum over the whole infinite word, the nilpotency index in degree D.  When
 the stream's covering words (``words.covering_words``) show no longer AP, m is
 that supremum, so the scan reports m at every horizon without reading the
-longer prefixes for that degree.
+longer prefixes for that degree.  The scan builds the smallest horizon's
+prefix and sums first, and the largest horizon's only when some degree is left
+open; a stream without covering words (the interleaved word) builds the
+largest horizon's at once.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .words import (
     covering_words,
     encode,
     format_morphism_spec,
+    has_covering_words,
     incidence_matrix,
     is_prolongable,
     mat_vec,
@@ -272,7 +276,9 @@ class ScanReport:
     horizons: tuple[int, ...]
     table: dict[int, tuple[int, ...]] = field(repr=False)
     flagged: tuple[int, ...]
-    sums: WeightSumSet = field(repr=False, compare=False)  # at the largest horizon
+    # the sums of the longest prefix the scan read: the largest horizon's, or
+    # the smallest's when every degree settled there
+    sums: WeightSumSet = field(repr=False, compare=False)
 
     def to_record(self) -> dict[str, str]:
         rec = {
@@ -289,7 +295,9 @@ def graded_nilpotence_scan(stream: PrefixStream, weights, d_max: int, horizons) 
     """Longest-AP lengths per difference and horizon; a difference is flagged when
     its AP length grows with the horizon (empirical failure of graded nilpotence
     in that degree).  A difference whose length at the smallest horizon passes
-    ``is_ap_supremum`` keeps that length at every horizon."""
+    ``is_ap_supremum`` keeps that length at every horizon.  The larger
+    horizons' prefix and sums are built only when some difference does not
+    pass, or the stream has no covering words."""
     horizons = tuple(int(h) for h in horizons)
     if not horizons or list(horizons) != sorted(horizons):
         raise ValueError("horizons must be increasing and nonempty")
@@ -297,30 +305,34 @@ def graded_nilpotence_scan(stream: PrefixStream, weights, d_max: int, horizons) 
         raise ValueError("horizons must be nonnegative")
     if d_max < 1:
         raise ValueError("d_max must be positive")
+    # the covering words settle a degree for good, so the smallest horizon is
+    # read first; a word without them reads the largest at once
+    coverable = len(horizons) > 1 and has_covering_words(stream)
+    sums = weight_sum_prefix(stream, weights, horizons[0] if coverable else horizons[-1])
     # the sums of a prefix are the head of the sums of any longer prefix
-    full = weight_sum_prefix(stream, weights, horizons[-1])
-    sumsets = [WeightSumSet(full.weights, full.sums[: h + 1]) for h in horizons]
-    first = {d: longest_ap(sumsets[0], d) for d in range(1, d_max + 1)}
+    first_sums = WeightSumSet(sums.weights, sums.sums[: horizons[0] + 1])
+    first = {d: longest_ap(first_sums, d) for d in range(1, d_max + 1)}
     # an AP longer than first[d] would span at most span[d] letters; a span
     # past the smallest horizon would make the check cost more than its scan
-    span = {d: m * d // min(full.weights) for d, m in first.items()}
-    candidates = [d for d in first if span[d] <= horizons[0]] if len(horizons) > 1 else []
+    span = {d: m * d // min(sums.weights) for d, m in first.items()}
+    candidates = [d for d in first if span[d] <= horizons[0]] if coverable else []
     settled = set()
     if candidates:
-        try:
-            covers = covering_sums(stream, full.weights, max(span[d] for d in candidates))
-        except ValueError:  # not a primitive morphic or periodic word
-            pass
-        else:
-            settled = {d for d in candidates if is_ap_supremum(covers, d, first[d])}
+        covers = covering_sums(stream, sums.weights, max(span[d] for d in candidates))
+        settled = {d for d in candidates if is_ap_supremum(covers, d, first[d])}
+    later: list[WeightSumSet] = []  # the larger horizons, read only for an open degree
+    if len(settled) < len(first):
+        if coverable:
+            sums = weight_sum_prefix(stream, weights, horizons[-1])
+        later = [WeightSumSet(sums.weights, sums.sums[: h + 1]) for h in horizons[1:]]
     table: dict[int, tuple[int, ...]] = {}
     flagged = []
     for d, m in first.items():
         if d in settled:
             lengths = (m,) * len(horizons)
         else:
-            lengths = (m, *(longest_ap(s, d) for s in sumsets[1:]))
+            lengths = (m, *(longest_ap(s, d) for s in later))
         table[d] = lengths
         if lengths[-1] > GROWTH_RATIO * lengths[0] and lengths[-1] > GROWTH_FLOOR:
             flagged.append(d)
-    return ScanReport(tuple(weights), horizons, table, tuple(flagged), full)
+    return ScanReport(tuple(weights), horizons, table, tuple(flagged), sums)

@@ -1,11 +1,12 @@
 """Alphabets, finite words, substitution morphisms and their fixed points.
 
 Finite words are plain Python strings; every letter of an alphabet is a
-single character.  ``encode`` and ``decode`` are the one place where letters
-become numbers (positions in a letter tuple) and back.  All matrix and
+single character.  Prefix streams hold letter codes and decode them to text
+on demand.  ``encode`` and ``decode`` are the one place where letters become
+numbers (positions in a letter tuple) and back.  All matrix and
 counting arithmetic in this module is exact integer arithmetic (numpy is used
-only for letter codes, 0/1 masks in the cube scanner and the packed window
-codes of ``FactorIndex``).
+only for letter codes, image tables, 0/1 masks in the cube scanner and the
+packed window codes of ``FactorIndex``).
 """
 
 from __future__ import annotations
@@ -230,43 +231,58 @@ def fixed_point_prefix(m: Morphism, start: str, n: int) -> str:
 class PrefixStream:
     """Deterministic, monotone generator of prefixes of a right-infinite word.
 
-    ``_text`` is the prefix built so far; subclasses supply ``_grow``
-    returning the next nonempty chunk, which a read appends to it.
+    The prefix built so far is ``_codes[:_length]``, letter codes (positions
+    in ``alphabet.letters``, see ``encode``) in one buffer that doubles when
+    full, so appends are amortized.  Subclasses supply ``_grow`` returning
+    the next nonempty chunk of codes; ``prefix`` and ``slice`` decode on
+    demand.
     """
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
-        self._text = ""
+        self._codes = np.empty(0, dtype=np.uint8)
+        self._length = 0  # perfbench/spans.py counts letters built by this name
 
-    @property
-    def _length(self) -> int:  # perfbench/spans.py counts letters built by this name
-        return len(self._text)
-
-    def _grow(self) -> str:
+    def _grow(self) -> np.ndarray:
         raise NotImplementedError
+
+    def _append(self, chunk: np.ndarray):
+        end = self._length + chunk.size
+        if end > self._codes.size:
+            buffer = np.empty(max(end, 2 * self._codes.size), dtype=np.uint8)
+            buffer[: self._length] = self._codes[: self._length]
+            self._codes = buffer
+        self._codes[self._length : end] = chunk
+        self._length = end
 
     def _ensure(self, n: int):
         if n < 0:
             raise ValueError("length must be nonnegative")
-        while len(self._text) < n:
+        while self._length < n:
             chunk = self._grow()
-            if not chunk:
+            if not chunk.size:
                 raise RuntimeError("stream stopped growing")
-            self._text += chunk
+            self._append(chunk)
 
-    def prefix(self, n: int) -> str:
-        self._ensure(n)
-        return self._text[:n]
-
-    def slice(self, start: int, stop: int) -> str:
-        """Letters at 0-based positions [start, stop)."""
+    def codes(self, start: int, stop: int) -> np.ndarray:
+        """Read-only view of the codes of the letters at 0-based positions [start, stop)."""
         if start < 0:
             raise ValueError("positions must be nonnegative")
         self._ensure(stop)
-        return self._text[start:stop]
+        view = self._codes[start:stop]
+        view.flags.writeable = False
+        return view
+
+    def prefix(self, n: int) -> str:
+        return self.slice(0, n)
+
+    def slice(self, start: int, stop: int) -> str:
+        """Letters at 0-based positions [start, stop)."""
+        return decode(self.codes(start, stop), self.alphabet.letters)
 
 
 PIECE_SIZE = 65_536
+_NO_LETTER = 255  # pads the rows of an image table; never a letter code
 
 
 class MorphicStream(PrefixStream):
@@ -274,10 +290,14 @@ class MorphicStream(PrefixStream):
 
     w = f(w) = f(w_0) f(w_1) f(w_2) ..., so the stream starts from f(start)
     and each growth applies f to the next ``PIECE_SIZE`` letters of its own
-    text.  The text is always f of the letters read so far, and it stays
+    codes.  The codes are always f of the letters read so far, and they stay
     longer than them: were |f(w_0 ... w_(r-1))| = r, f would fix that finite
     prefix and the fixed point would be finite.  A prefix of n letters builds
     little more than n.
+
+    f is applied to a piece by one gather from ``_images``, whose row c holds
+    the codes of f(letter c) padded with ``_NO_LETTER`` to the longest image;
+    dropping the pads leaves the images in order.
     """
 
     def __init__(self, morphism: Morphism, start: str):
@@ -286,15 +306,21 @@ class MorphicStream(PrefixStream):
             raise NotProlongableError(f"morphism is not prolongable on {start!r}")
         self.morphism = morphism
         self.start = start
-        self._text = morphism.images[start]
-        self._read = 1  # letters of the text whose images the text holds
+        letters = morphism.alphabet.letters
+        images = [morphism.images[c] for c in letters]
+        self._images = np.full((len(letters), max(map(len, images))), _NO_LETTER, dtype=np.uint8)
+        for row, image in zip(self._images, images):
+            row[: len(image)] = encode(image, letters)
+        self._append(encode(morphism.images[start], letters))
+        self._read = 1  # letters of the codes whose images the codes hold
 
-    def _grow(self) -> str:
+    def _grow(self) -> np.ndarray:
         while True:
-            piece = self._text[self._read : self._read + PIECE_SIZE]
-            self._read += len(piece)
-            image = self.morphism.apply(piece)
-            if image:  # pieces of mortal letters have empty images
+            piece = self._codes[self._read : self._length][:PIECE_SIZE]
+            self._read += piece.size
+            image = self._images[piece].ravel()
+            image = image[image != _NO_LETTER]
+            if image.size:  # pieces of mortal letters have empty images
                 return image
 
 
@@ -307,8 +333,8 @@ class PeriodicStream(PrefixStream):
         super().__init__(Alphabet(tuple(dict.fromkeys(period))))
         self.period = period
 
-    def _grow(self) -> str:
-        return self.period * max(PIECE_SIZE // len(self.period), 1)
+    def _grow(self) -> np.ndarray:
+        return encode(self.period * max(PIECE_SIZE // len(self.period), 1), self.alphabet.letters)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +346,15 @@ def encode(text: str, letters) -> np.ndarray:
     Raises ValueError on any character outside ``letters``."""
     if not 1 <= len(letters) <= 255:
         raise ValueError("letter codes need between 1 and 255 letters")
-    points = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    largest = max(map(ord, letters))
+    try:
+        # one byte per character while every letter is Latin-1, four otherwise
+        raw = text.encode("latin-1") if largest < 256 else text.encode("utf-32-le")
+    except UnicodeEncodeError as exc:  # a character past Latin-1 is no letter
+        raise ValueError(f"{text[exc.start]!r} is not a letter of {tuple(letters)!r}") from None
+    points = np.frombuffer(raw, dtype=np.uint8 if largest < 256 else np.uint32)
     # one spare slot past the largest letter: every foreign point lands on 255
-    table = np.full(max(map(ord, letters)) + 2, 255, dtype=np.uint8)
+    table = np.full(largest + 2, 255, dtype=np.uint8)
     table[[ord(c) for c in letters]] = np.arange(len(letters))
     codes = table.take(points, mode="clip")
     if codes.size and codes.max() == 255:
@@ -333,8 +365,11 @@ def encode(text: str, letters) -> np.ndarray:
 
 def decode(codes: np.ndarray, letters) -> str:
     """The text whose characters are ``letters[c]`` for each position c in ``codes``."""
-    points = np.array([ord(c) for c in letters], dtype=np.uint32)
-    return points[codes].tobytes().decode("utf-32-le")
+    points = [ord(c) for c in letters]
+    # one byte per letter while every letter is Latin-1, four otherwise
+    if max(points) < 256:
+        return str(np.array(points, dtype=np.uint8)[codes].data, "latin-1")
+    return str(np.array(points, dtype=np.uint32)[codes].data, "utf-32-le")
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +449,14 @@ class FactorIndex:
 # the exact factor language of a primitive morphic or periodic word
 
 
+def has_covering_words(stream: PrefixStream) -> bool:
+    """True iff ``covering_words`` accepts the stream: a periodic word or the
+    fixed point of a primitive morphism."""
+    return isinstance(stream, PeriodicStream) or (
+        isinstance(stream, MorphicStream) and is_primitive(stream.morphism)
+    )
+
+
 def covering_words(stream: PrefixStream, k: int) -> list[str]:
     """Short words whose factors of length <= k are exactly the factors of
     length <= k of the stream's infinite word.  Builds no prefix.
@@ -428,11 +471,11 @@ def covering_words(stream: PrefixStream, k: int) -> list[str]:
     """
     if k < 0:
         raise ValueError("length must be nonnegative")
+    if not has_covering_words(stream):
+        raise ValueError("exact factors need a periodic word or the fixed point of a primitive morphism")
     if isinstance(stream, PeriodicStream):
         period = stream.period
         return [period * (-(-k // len(period)) + 1)]
-    if not isinstance(stream, MorphicStream) or not is_primitive(stream.morphism):
-        raise ValueError("exact factors need a periodic word or the fixed point of a primitive morphism")
     m = stream.morphism
     letters = m.alphabet.letters
     pairs: frozenset[str] = frozenset()

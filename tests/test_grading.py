@@ -310,6 +310,24 @@ def test_scan_matches_a_longest_ap_per_horizon(case):
         assert report.table[d] == tuple(longest_ap(weight_sum_prefix(stream, weights, h), d) for h in horizons)
 
 
+@pytest.mark.parametrize("name", ["sub_xyz.morph", "thue_morse.morph"])
+def test_scan_builds_only_the_horizons_it_reads(name):
+    # every sub_xyz degree up to 12 settles at the smallest horizon; the
+    # Thue-Morse degrees 3, 6, 9 and 12 never settle
+    stream, weights = _bundled_stream(name)
+    horizons = (2000, 200_000)
+    report = graded_nilpotence_scan(stream, weights, 12, horizons)
+    if name == "sub_xyz.morph":
+        assert stream._length < horizons[-1] // 10
+        assert report.sums.sums.size == horizons[0] + 1
+    else:
+        assert stream._length >= horizons[-1]
+        assert report.sums.sums.size == horizons[-1] + 1
+    fresh, _ = _bundled_stream(name)
+    for d in range(1, 13):
+        assert report.table[d] == tuple(longest_ap(weight_sum_prefix(fresh, weights, h), d) for h in horizons)
+
+
 def test_covering_sums_reject_what_covering_words_rejects(tilde_stream):
     for stream, weights in ((MorphicStream(make_morphism("xy", x="xy", y="y"), "x"), (1, 2)),
                             (tilde_stream, (1, 2, 1, 2))):

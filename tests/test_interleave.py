@@ -293,6 +293,7 @@ def test_pipeline_small_horizon():
         report = construction_pipeline(horizon=20_000, free_pattern_length=3, d_max=4)
     assert report.certificate.certified
     assert report.scan.flagged == ()
+    assert report.scan.sums.sums.size == 20_000 + 1
     assert report.sum_sets_equal
     assert report.freeness.independent
     assert report.freeness.patterns_tested == 2 + 4 + 8
@@ -322,6 +323,15 @@ def test_pipeline_builds_each_sum_set_and_the_images_once(monkeypatch):
     assert [type(args[0]) for args in calls["weight_sum_prefix"]] == [InterleaveStream, MorphicStream]
     assert len(calls["pattern_images"]) == 1
     assert report.rank_with_identity == 15
+
+
+def test_pipeline_refuses_scan_sums_short_of_the_horizon(monkeypatch):
+    # sums of fewer letters than the base word's would compare unequal silently
+    scan = interleave.graded_nilpotence_scan
+    monkeypatch.setattr(interleave, "graded_nilpotence_scan",
+                        lambda stream, weights, d_max, horizons: scan(stream, weights, d_max, horizons[:1]))
+    with pytest.raises(RuntimeError, match="fewer than the horizon"):
+        construction_pipeline(horizon=1000, free_pattern_length=2, d_max=2)
 
 
 def test_pipeline_rejects_tiny_horizon():

@@ -308,6 +308,45 @@ def test_streams_reject_negative_lengths(stream):
     assert stream.slice(3, 3) == "" and len(stream.prefix(10)) == 10
 
 
+GREEK, _ = parse_morphism_spec("α β\nα -> αβ\nβ -> ββα\n")
+
+
+@pytest.mark.parametrize("piece_size", [1, 7, words.PIECE_SIZE])
+def test_streams_of_letters_past_latin1_match_their_oracles(piece_size, monkeypatch):
+    # the codes decode to letters that need more than one byte each
+    monkeypatch.setattr(words, "PIECE_SIZE", piece_size)
+    stop = 3_000
+    morphic = "α"
+    while len(morphic) < stop:
+        morphic = GREEK.iterate(morphic, 1)
+    for stream, reference in ((MorphicStream(GREEK, "α"), morphic), (PeriodicStream("ж→я"), "ж→я" * stop)):
+        for n in range(0, stop, 37):
+            assert stream.prefix(n) == reference[:n]
+        assert stream.slice(stop - 50, stop) == reference[stop - 50 : stop]
+
+
+def test_morphic_stream_reallocates_its_codes_a_logarithmic_number_of_times(sub_xy, monkeypatch):
+    # hundreds of pieces go into one buffer that doubles when full
+    monkeypatch.setattr(words, "PIECE_SIZE", 1_000)
+    stream = MorphicStream(sub_xy, "x")
+    grow, buffers, pieces = stream._grow, [stream._codes], 0
+
+    def counted_grow():
+        nonlocal pieces
+        pieces += 1
+        if stream._codes is not buffers[-1]:
+            buffers.append(stream._codes)
+        return grow()
+
+    monkeypatch.setattr(stream, "_grow", counted_grow)
+    n = 1_000_000
+    assert len(stream.prefix(n)) == n
+    if stream._codes is not buffers[-1]:
+        buffers.append(stream._codes)
+    assert pieces > 300
+    assert len(buffers) - 1 <= 2 * np.log2(n)
+
+
 @pytest.mark.parametrize("m, start", [(make_morphism("xy", x="xy", y="yyx"), "x"), (MORTAL_Z, "x")])
 def test_morphic_stream_builds_about_what_is_asked(m, start):
     # at most one piece past the request: no block is built ahead of need
@@ -405,7 +444,7 @@ def test_factor_index_rejects_foreign_letters():
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_encode_decode_round_trip(data):
-    letters = data.draw(st.sampled_from(["x", "yx", "xyXY", "xy\u2192Y", "0123456789"]))
+    letters = data.draw(st.sampled_from(["x", "yx", "xyXY", "x\xe9\xff", "xy\u2192Y", "0123456789"]))
     text = data.draw(st.text(alphabet=letters, max_size=100))
     codes = encode(text, letters)
     assert codes.dtype == np.uint8

@@ -46,10 +46,10 @@ class ThueMorseSequence:
     """Bit oracle m_1, m_2, ... with a doubling cache; bit 1 <-> letter y, 0 <-> x."""
 
     def __init__(self):
-        self._bits = np.array([1], dtype=np.int64)
+        self._bits = np.array([1], dtype=np.uint8)
 
     def bits(self, n: int) -> np.ndarray:
-        """The first n bits m_1..m_n as an int64 array."""
+        """The first n bits m_1..m_n as a uint8 array of 0s and 1s."""
         while self._bits.size < n:
             self._bits = np.concatenate([self._bits, 1 - self._bits])
         return self._bits[:n]

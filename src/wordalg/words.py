@@ -5,8 +5,8 @@ single character.  Prefix streams hold letter codes and decode them to text
 on demand.  ``encode`` and ``decode`` are the one place where letters become
 numbers (positions in a letter tuple) and back.  All matrix and
 counting arithmetic in this module is exact integer arithmetic (numpy is used
-only for letter codes, image tables, 0/1 masks in the cube scanner and the
-packed window codes of ``FactorIndex``).
+only for letter codes, image tables and the packed window codes of
+``FactorIndex``).
 """
 
 from __future__ import annotations
@@ -518,21 +518,32 @@ class CubeCheck:
 
 
 def is_cube_free(word: str) -> CubeCheck:
-    """True iff no nonempty u has uuu as a factor; otherwise the first violation."""
+    """True iff no nonempty u has uuu as a factor; otherwise the first violation
+    (least position, then least period).
+
+    A cube of period p starting at i holds the aligned block [kp, kp+p) and a
+    copy of it right after, for the one k with kp - p < i <= kp.  So each
+    period compares aligned blocks only, and tests the starts in (kp - p, kp]
+    where two match.
+    """
     n = len(word)
-    if n < 3:
-        return CubeCheck(True)
-    arr = np.frombuffer(word.encode("utf-32-le"), dtype=np.uint32)  # equal letters, equal codes
     best: tuple[int, int] | None = None
     for p in range(1, n // 3 + 1):
-        eq = arr[:-p] == arr[p:]
-        # a cube of period p starts at i iff word[i+t] == word[i+t+p] for t < 2p
-        sums = np.concatenate(([0], np.cumsum(eq, dtype=np.int64)))
-        hits = np.flatnonzero(sums[2 * p :] - sums[: -2 * p] == 2 * p)
-        if hits.size:
-            i = int(hits[0])
-            if best is None or (i, p) < best:
-                best = (i, p)
+        for s in range(0, n - 2 * p + 1, p):
+            if word[s : s + p] != word[s + p : s + 2 * p]:
+                continue
+            i = next(
+                (
+                    i
+                    for i in range(max(s - p + 1, 0), min(s, n - 3 * p) + 1)
+                    if word[i : i + 2 * p] == word[i + p : i + 3 * p]
+                ),
+                None,
+            )
+            if i is not None:
+                if best is None or i < best[0]:
+                    best = (i, p)
+                break
     if best is None:
         return CubeCheck(True)
     return CubeCheck(False, best[0] + 1, best[1])

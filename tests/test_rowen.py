@@ -54,6 +54,22 @@ def test_bits_match_substitution_word():
     assert tm.word_prefix(n) == tm_word_stream().prefix(n)
 
 
+def test_bits_are_uint8_and_diagonals_int64():
+    """The bit cache is one byte per bit; every diagonal built from it is
+    int64 and matches the popcount oracle."""
+    n = 128  # above any word length plus the default margin
+    assert ThueMorseSequence().bits(n).dtype == np.uint8
+    for gen, letter in zip(build_generators(n), "yx"):
+        diag = gen.diags[1]
+        assert diag.dtype == np.int64
+        assert diag.tolist() == [coefficient(letter, t) for t in range(1, n)]
+    prefix = THUE_MORSE.word_prefix(n)
+    for word in (prefix[:5], prefix[9:16], "xyyx"):
+        diag = evaluate_word(word, n).diags[len(word)]
+        assert diag.dtype == np.int64
+        assert diag.tolist() == [coefficient(word, t) for t in range(1, n - len(word) + 1)]
+
+
 def test_word_prefix_display():
     assert ThueMorseSequence().word_prefix(16) == "yxxyxyyxxyyxyxxy"
 

@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wordalg import words
+from wordalg.monalg import CubeIdealView
 from wordalg.words import (
     Alphabet,
     FactorIndex,
@@ -487,16 +489,59 @@ def test_cube_free_examples(tm_stream):
     assert is_cube_free("").is_cube_free
 
 
-@given(word=st.text(alphabet="xy", max_size=30))
-@settings(max_examples=300, deadline=None)
-def test_cube_free_matches_brute_force(word):
+def _agrees_with_brute(word):
     check = is_cube_free(word)
     brute = _brute_cube(word)
     if brute is None:
-        assert check.is_cube_free
-    else:
-        assert not check.is_cube_free
-        assert (check.position, check.period) == brute
+        return check.is_cube_free
+    return not check.is_cube_free and (check.position, check.period) == brute
+
+
+@pytest.mark.parametrize(
+    "word, expected",
+    [
+        ("xyxyxyzzz", (1, 2)),  # an earlier period-2 cube beats a later period-1 one
+        ("zxyzxyzxyxxx", (1, 3)),
+        ("wxyzxyzxyzzz", (2, 3)),  # starts inside the first aligned block
+        ("xxxxxx", (1, 1)),  # same start: the smallest period
+        ("xyzyzyzx", (2, 2)),
+        ("αβγαβγαβγ", (1, 3)),
+    ],
+)
+def test_cube_first_position_then_period(word, expected):
+    assert _brute_cube(word) == expected
+    check = is_cube_free(word)
+    assert (check.is_cube_free, check.position, check.period) == (False, *expected)
+
+
+CUBE_ALPHABETS = ["xy", "xyzw", "αβγ"]
+
+
+@given(word=st.sampled_from(CUBE_ALPHABETS).flatmap(lambda a: st.text(alphabet=a, max_size=60)))
+@settings(max_examples=600, deadline=None)
+def test_cube_free_matches_brute_force(word):
+    assert _agrees_with_brute(word)
+
+
+@given(data=st.data(), alphabet=st.sampled_from(CUBE_ALPHABETS))
+@settings(max_examples=300, deadline=None)
+def test_planted_cube_matches_brute_force(data, alphabet):
+    """Cubes of any period, planted at any offset, beside whatever cubes the
+    surrounding letters make."""
+    text = st.text(alphabet=alphabet, max_size=20)
+    head = data.draw(text)
+    u = data.draw(st.text(alphabet=alphabet, min_size=1, max_size=8))
+    word = head + u * 3 + data.draw(text)
+    assert not is_cube_free(word).is_cube_free
+    assert _agrees_with_brute(word)
+
+
+def test_cube_view_agrees_with_brute_force_on_short_words():
+    view = CubeIdealView("xyz")
+    for n in range(7):
+        for letters in itertools.product("xyz", repeat=n):
+            word = "".join(letters)
+            assert view.is_zero_monomial(word) == (_brute_cube(word) is not None), word
 
 
 # -- complexity ------------------------------------------------------------------

@@ -137,10 +137,7 @@ def _cmd_free(args) -> tuple[int, str]:
     view = _make_view(args)
     if not args.gens:
         raise ValueError("--gens is required: semicolon-separated polynomial literals")
-    gens = [
-        monalg.parse_poly_literal(view, _decode_primed("".join(literal.split())))
-        for literal in args.gens.split(";")
-    ]
+    gens = [monalg.parse_poly_literal(view, _decode_primed(literal)) for literal in args.gens.split(";")]
     report = monalg.freeness_check(view, gens, args.Lfree)
     return (0 if report.independent else 1), emit_report(report.to_record())
 

@@ -236,7 +236,8 @@ def format_poly_literal(p: NcPolynomial) -> str:
 class IndependenceResult:
     rank: int
     independent: bool
-    dependency: tuple[Fraction, ...] | None  # first nonzero coefficient scaled to 1
+    # the first dependent row's one relation to the rows before it, first nonzero coefficient 1
+    dependency: tuple[Fraction, ...] | None
 
 
 # Prime of the full-rank certificate.  Residues are below 2^31, so the product
@@ -244,20 +245,27 @@ class IndependenceResult:
 CERTIFICATE_PRIME = 2**31 - 1
 
 
-def _full_rank_mod_p(polys, col_of) -> bool:
-    """Whether the rows, each scaled to integers by the lcm of its denominators,
-    have full row rank over F_p.  The rank over Q is at least the rank over F_p,
-    so True proves the polynomials independent; False proves nothing."""
-    p = CERTIFICATE_PRIME
-    rows, cols, values = [], [], []
-    for i, poly in enumerate(polys):
+def _integer_rows(polys) -> tuple[list[dict[int, int]], list[int]]:
+    """Each polynomial as a sparse integer row {column: coefficient}, scaled by
+    the lcm of its denominators, and that scale.  Columns are numbered in
+    first-seen order: neither the rank nor the witness depends on the order."""
+    col_of: dict[str, int] = {}
+    rows, scales = [], []
+    for poly in polys:
         scale = math.lcm(*(c.denominator for c in poly.coeffs.values()))
-        for w, c in poly.coeffs.items():
-            rows.append(i)
-            cols.append(col_of[w])
-            values.append(c.numerator * (scale // c.denominator) % p)
-    m = np.zeros((len(polys), len(col_of)), dtype=np.int64)
-    m[rows, cols] = values
+        rows.append({col_of.setdefault(w, len(col_of)): c.numerator * (scale // c.denominator)
+                     for w, c in poly.coeffs.items()})
+        scales.append(scale)
+    return rows, scales
+
+
+def _full_rank_mod_p(rows) -> bool:
+    """Whether the integer rows have full row rank over F_p.  The rank over Q is
+    at least that, so True proves them independent; False proves nothing."""
+    p = CERTIFICATE_PRIME
+    m = np.zeros((len(rows), 1 + max((max(row) for row in rows if row), default=-1)), dtype=np.int64)
+    for i, row in enumerate(rows):
+        m[i, list(row)] = [c % p for c in row.values()]
     # forward elimination, one pivot row at a time: row i has already been
     # reduced by every earlier pivot, and its pivot clears its lead column in
     # the rows below that have it, on its own support only
@@ -277,46 +285,37 @@ def _full_rank_mod_p(polys, col_of) -> bool:
 def linear_independence(polys) -> IndependenceResult:
     """Exact rank of the span; a normalized dependency witness when dependent.
 
-    Full rank modulo CERTIFICATE_PRIME settles independence at once; only a
-    system that fails that certificate is eliminated over the rationals."""
+    Full rank modulo CERTIFICATE_PRIME settles independence at once.  Any other
+    system is eliminated exactly on its integer rows, integer-preserving as in
+    Bareiss (1968): a row that meets a pivot at its least column becomes
+    a*row - b*pivot, then the row and its combination lose their common content."""
     polys = list(polys)
-    if not polys:
-        return IndependenceResult(0, True, None)
-    # columns in first-seen order: neither the rank nor the witness, which
-    # writes the first dependent row in the independent rows before it,
-    # depends on the order
-    col_of = {w: j for j, w in enumerate(dict.fromkeys(w for p in polys for w in p.coeffs))}
-    if _full_rank_mod_p(polys, col_of):
+    rows, scales = _integer_rows(polys)
+    if _full_rank_mod_p(rows):
         return IndependenceResult(len(polys), True, None)
-    n_cols = len(col_of)
-
-    pivots: list[tuple[int, list[Fraction], list[Fraction]]] = []  # (col, vector, combo)
+    pivots: dict[int, list[dict[int, int]]] = {}  # lead column -> [row, combination]
     dependency = None
-    for i, p in enumerate(polys):
-        vec = [Fraction(0)] * n_cols
-        for w, c in p.coeffs.items():
-            vec[col_of[w]] = c
-        combo = [Fraction(0)] * len(polys)
-        combo[i] = Fraction(1)
-        for col, pvec, pcombo in pivots:
-            factor = vec[col]
-            if factor:
-                scale = factor / pvec[col]
-                for j in range(n_cols):
-                    if pvec[j]:
-                        vec[j] -= scale * pvec[j]
-                for j in range(len(polys)):
-                    if pcombo[j]:
-                        combo[j] -= scale * pcombo[j]
-        lead = next((j for j in range(n_cols) if vec[j]), None)
-        if lead is None:
-            if dependency is None:
-                first = next(c for c in combo if c)
-                dependency = tuple(c / first for c in combo)
-        else:
-            pivots.append((lead, vec, combo))
-    rank = len(pivots)
-    return IndependenceResult(rank, rank == len(polys), dependency)
+    for i, row in enumerate(rows):
+        # row == sum(combination[j] * polys[j]); combinations are tracked only
+        # until the first dependent row is found
+        vectors = [row, {i: scales[i]}] if dependency is None else [row]
+        while row and (lead := min(row)) in pivots:
+            pivot = pivots[lead]
+            g = math.gcd(row[lead], pivot[0][lead])
+            a, b = pivot[0][lead] // g, row[lead] // g
+            # a*v - b*w over both supports, zero entries dropped
+            vectors = [{k: c for k in v.keys() | w.keys() if (c := a * v.get(k, 0) - b * w.get(k, 0))}
+                       for v, w in zip(vectors, pivot)]
+            if (content := math.gcd(*(c for v in vectors for c in v.values()))) > 1:
+                vectors = [{k: c // content for k, c in v.items()} for v in vectors]
+            row = vectors[0]
+        if row:
+            pivots[min(row)] = vectors
+        elif dependency is None:
+            combo = vectors[1]
+            first = combo[min(combo)]
+            dependency = tuple(Fraction(combo.get(j, 0), first) for j in range(len(polys)))
+    return IndependenceResult(len(pivots), len(pivots) == len(polys), dependency)
 
 
 # ---------------------------------------------------------------------------

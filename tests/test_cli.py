@@ -131,10 +131,12 @@ def test_free_command_tilde_with_primed_names(capsys):
 
 
 def test_free_command_prime_after_whitespace(capsys):
+    # a prime mark follows its letter directly, as in x'
     code = run(["free", "--view", "tilde", "--horizon", "20000", "--gens", "1*x '", "--Lfree", "1"])
-    out, rec = _record(capsys)
-    assert code == 0
-    assert rec["generators"] == "1*X"
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 @pytest.mark.parametrize("gens", ["1*'x", "1'*x", ";1*x"])

@@ -47,6 +47,11 @@ COMMANDS: dict[str, tuple[str, list[str]]] = {
     # dependent only because xxx is unseen within the horizon
     "free_tilde_unseen": ("cli", ["free", "--view", "tilde", "--gens", "1*x", "--Lfree", "3", "--horizon", "1000"]),
     "free_word_sub_xy": ("cli", ["free", "--view", "word", "--spec", "morphisms/sub_xy.morph", "--gens", "1*x;1*y", "--Lfree", "4"]),
+    # a dependent system: the certificate fails and exact elimination gives the witness
+    "free_word_sub_xy_dependent": ("cli", [
+        "free", "--view", "word", "--spec", "morphisms/sub_xy.morph",
+        "--gens", "1*x + 1*y;1*x + 2*y", "--horizon", "100000", "--Lfree", "10",
+    ]),
     # every degree bounded: each row is settled at the smallest horizon
     "scan_sub_xyz": ("cli", ["scan", "--spec", "morphisms/sub_xyz.morph", "--dmax", "24", "--horizons", "1000,100000"]),
     "rowen_word_aaa": ("cli", ["rowen", "--N", "512", "--horizon", "10000", "--word", "aaa"]),

@@ -274,6 +274,13 @@ def _assert_rank_matches_sympy(polys):
         for c, p in zip(res.dependency, polys):
             combo = combo + p * c
         assert combo.is_zero()
+        # the witness is the one relation of the first dependent row i to the
+        # rows before it: zero after i, and sympy's nullspace of rows[:i+1]
+        i = next(i for i in range(len(polys)) if matrix[: i + 1, :].rank() == i)
+        assert not any(res.dependency[i + 1 :])
+        (null,) = matrix[: i + 1, :].T.nullspace()
+        first = next(c for c in null if c)
+        assert [sympy.Rational(c) for c in res.dependency[: i + 1]] == [c / first for c in null]
     return res
 
 
@@ -299,8 +306,8 @@ def test_linear_independence_matches_sympy_rank(rows, combine):
 
 
 def _certificate_holds(polys):
-    col_of = {w: j for j, w in enumerate(sorted({w for p in polys for w in p.coeffs}))}
-    return monalg._full_rank_mod_p(polys, col_of)
+    rows, _ = monalg._integer_rows(polys)
+    return monalg._full_rank_mod_p(rows)
 
 
 @pytest.mark.parametrize(

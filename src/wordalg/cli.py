@@ -56,11 +56,12 @@ PRIME_MARK = "'"
 
 
 def _decode_primed(word: str) -> str:
-    """CLI spelling x' for the primed companion of x (internally uppercase)."""
+    """CLI spelling x' for the primed companion of x (internally uppercase).
+    A prime mark must directly follow a letter."""
     out = []
     for ch in word:
         if ch == PRIME_MARK:
-            if not out:
+            if not out or not out[-1].isalpha():
                 raise ValueError(f"dangling prime mark in {word!r}")
             out[-1] = interleave.primed_companion(out[-1])
         else:

@@ -3,7 +3,9 @@
 A view decides which monomials are zero; the zero monomials always form a
 two-sided monomial ideal (superwords of zero monomials are zero).  Polynomials
 carry exact rational coefficients and are kept reduced: no zero coefficients,
-no zero monomials in the support.
+no zero monomials in the support.  Each coefficient is held in one canonical
+form, an ``int`` when it is integral and a ``Fraction`` with denominator > 1
+otherwise, so integer systems multiply and add as native ints.
 """
 
 from __future__ import annotations
@@ -100,19 +102,26 @@ class FreeView(AlgebraView):
 # polynomials
 
 
-def _reduced(view: AlgebraView, terms: dict[str, Fraction]) -> NcPolynomial:
-    """The polynomial of ``terms`` less its zero coefficients and zero monomials.
+def _reduced(view: AlgebraView, terms: dict[str, int | Fraction]) -> NcPolynomial:
+    """The polynomial of ``terms`` less its zero coefficients and zero monomials,
+    with each integral Fraction turned back into an int.
 
-    ``terms`` must already hold Fractions on the view's letters: only the
-    NcPolynomial constructor takes outside input and checks it."""
+    ``terms`` must already hold ints and Fractions on the view's letters: only
+    the NcPolynomial constructor takes outside input and checks it."""
     p = object.__new__(NcPolynomial)
     p.view = view
-    p.coeffs = {w: c for w, c in terms.items() if c and not view.is_zero_monomial(w)}
+    is_zero = view.is_zero_monomial
+    p.coeffs = {w: c if type(c) is int or c.denominator != 1 else c.numerator
+                for w, c in terms.items() if c and not is_zero(w)}
     return p
 
 
 class NcPolynomial:
-    """Exact-rational linear combination of monomials, reduced in a view."""
+    """Exact-rational linear combination of monomials, reduced in a view.
+
+    ``coeffs`` maps each monomial of the support to an int when the coefficient
+    is integral, else to a Fraction with denominator > 1.  Scalars are ints and
+    Fractions only; any other operand is NotImplemented."""
 
     __slots__ = ("view", "coeffs")
 
@@ -163,6 +172,8 @@ class NcPolynomial:
     # -- arithmetic
 
     def __add__(self, other):
+        if not isinstance(other, NcPolynomial):
+            return NotImplemented
         self._check_view(other)
         acc = dict(self.coeffs)
         for w, c in other.coeffs.items():
@@ -173,13 +184,17 @@ class NcPolynomial:
         return _reduced(self.view, {w: -c for w, c in self.coeffs.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, NcPolynomial):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return _reduced(self.view, {w: c * other for w, c in self.coeffs.items()})
+        if not isinstance(other, NcPolynomial):
+            return NotImplemented
         self._check_view(other)
-        acc: dict[str, Fraction] = {}
+        acc: dict[str, int | Fraction] = {}
         for w1, c1 in self.coeffs.items():
             for w2, c2 in other.coeffs.items():
                 w = w1 + w2
@@ -192,7 +207,7 @@ class NcPolynomial:
         return NotImplemented
 
     def _check_view(self, other):
-        if not isinstance(other, NcPolynomial) or other.view is not self.view:
+        if other.view is not self.view:
             raise ValueError("operands must share the same algebra view")
 
 

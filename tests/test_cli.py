@@ -136,14 +136,24 @@ def test_free_command_prime_after_whitespace(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err == "error: dangling prime mark in \"1*x '\"\n"
 
 
-@pytest.mark.parametrize("gens", ["1*'x", "1'*x", ";1*x"])
+MALFORMED_LITERALS = {
+    "1*'x": "dangling prime mark in \"1*'x\"",
+    "1'*x": "dangling prime mark in \"1'*x\"",
+    "'1*x": "dangling prime mark in \"'1*x\"",
+    ";1*x": "empty polynomial literal",
+}
+
+
+@pytest.mark.parametrize("gens", list(MALFORMED_LITERALS))
 def test_free_command_malformed_literals_exit_two(gens, capsys):
     code = run(["free", "--view", "tilde", "--horizon", "20000", "--gens", gens, "--Lfree", "1"])
-    capsys.readouterr()
+    captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {MALFORMED_LITERALS[gens]}\n"
 
 
 def test_free_command_zero_denominator_exits_two(capsys):

@@ -52,6 +52,11 @@ COMMANDS: dict[str, tuple[str, list[str]]] = {
         "free", "--view", "word", "--spec", "morphisms/sub_xy.morph",
         "--gens", "1*x + 1*y;1*x + 2*y", "--horizon", "100000", "--Lfree", "10",
     ]),
+    # proper-fraction generators whose products turn integral (2 * 1/2)
+    "free_cubes_fractions": ("cli", [
+        "free", "--view", "cubes", "--letters", "xy",
+        "--gens", "2*x + 1/2*y;1/2*xy + 2*yx;1*xy + 4*yx", "--Lfree", "3",
+    ]),
     # every degree bounded: each row is settled at the smallest horizon
     "scan_sub_xyz": ("cli", ["scan", "--spec", "morphisms/sub_xyz.morph", "--dmax", "24", "--horizons", "1000,100000"]),
     "rowen_word_aaa": ("cli", ["rowen", "--N", "512", "--horizon", "10000", "--word", "aaa"]),

@@ -1,3 +1,5 @@
+import itertools
+import operator
 import random
 import warnings
 from fractions import Fraction
@@ -152,6 +154,50 @@ def test_multiply_bilinear(xy_view):
     assert p * (x + y) == p * x + p * y
 
 
+def _is_canonical(c):
+    """An int when integral, a Fraction only when its denominator exceeds 1."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def test_canonical_form_rejects_floats_and_integral_fractions():
+    assert _is_canonical(2) and _is_canonical(Fraction(1, 2))
+    assert not any(map(_is_canonical, [0.5, 2.0, Fraction(2), Fraction(4, 2), True]))
+
+
+def test_constructor_keeps_coefficients_canonical(xy_view):
+    p = NcPolynomial(xy_view, {"x": Fraction(4, 2), "y": Fraction(1, 2), "xy": 0.5, "yx": True})
+    assert p.coeffs == {"x": 2, "y": Fraction(1, 2), "xy": Fraction(1, 2), "yx": 1}
+    assert all(map(_is_canonical, p.coeffs.values()))
+
+
+def test_products_that_turn_integral_become_ints():
+    view = FreeView("xy")
+    half = NcPolynomial(view, {"x": Fraction(1, 2), "y": Fraction(3, 2)})
+    assert (half * 2).coeffs == {"x": 1, "y": 3}
+    assert (half + half).coeffs == {"x": 1, "y": 3}
+    assert (half * NcPolynomial(view, {"": 2, "x": 4})).coeffs == {"x": 1, "y": 3, "xx": 2, "yx": 6}
+    for p in (half * 2, half + half, Fraction(2) * half):
+        assert all(type(c) is int for c in p.coeffs.values())
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_non_exact_scalars_raise_type_error_in_both_orders(op):
+    p = NcPolynomial(FreeView("xy"), {"x": 1})
+    for other in (0.5, 2.0, "x", None):
+        with pytest.raises(TypeError):
+            op(p, other)
+        with pytest.raises(TypeError):
+            op(other, p)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_polynomials_over_different_views_raise_value_error(op):
+    p = NcPolynomial(FreeView("xy"), {"x": 1})
+    q = NcPolynomial(FreeView("xy"), {"y": 1})
+    with pytest.raises(ValueError, match="same algebra view"):
+        op(p, q)
+
+
 def _summed(terms):
     """Naive coefficient dict: the coefficients of equal monomials added up."""
     acc = {}
@@ -185,7 +231,7 @@ def test_arithmetic_matches_the_constructor_on_naive_coefficient_dicts(kind, xy_
     for name, result in results.items():
         assert result == NcPolynomial(view, expected[name]), name
         assert result.view is view
-        assert all(type(a) is Fraction for a in result.coeffs.values()), name
+        assert all(map(_is_canonical, result.coeffs.values())), name
     assert p * c == c * p
 
 
@@ -344,8 +390,6 @@ def test_certificate_holds_on_free_pattern_images():
     (FreeView("xyz"), ["1*x", "2*y + 1*z", "1*x + -1*z"]),
 ])
 def test_pattern_images_follow_index_tuples_in_length_then_lex_order(view, literals):
-    import itertools
-
     gens = [parse_poly_literal(view, literal) for literal in literals]
     expected = []
     for length in range(1, 4):
@@ -355,6 +399,23 @@ def test_pattern_images_follow_index_tuples_in_length_then_lex_order(view, liter
                 product = product * gens[i]
             expected.append(product.coeffs)
     assert [p.coeffs for p in pattern_images(view, gens, 3)] == expected
+
+
+@pytest.mark.parametrize("kind", ["cube", "free", "factor"])
+def test_pattern_images_of_integer_generators_hold_ints(kind, xy_view):
+    view = {"cube": CubeIdealView("xy"), "free": FreeView("xy"), "factor": xy_view}[kind]
+    gens = [NcPolynomial(view, {"x": 1, "y": 1}), NcPolynomial(view, {"x": 2, "y": -3, "xy": 1})]
+    # the same products as naive Fraction dicts, zero monomials dropped at the end
+    naive = []
+    for length in range(1, 5):
+        for pattern in itertools.product(gens, repeat=length):
+            acc = {"": Fraction(1)}
+            for g in pattern:
+                acc = _summed((w1 + w2, a * Fraction(b)) for w1, a in acc.items() for w2, b in g.coeffs.items())
+            naive.append({w: a for w, a in acc.items() if a and not view.is_zero_monomial(w)})
+    images = pattern_images(view, gens, 4)
+    assert [p.coeffs for p in images] == naive
+    assert all(type(c) is int for p in images for c in p.coeffs.values())
 
 
 def test_rank_of_length_two_patterns_in_tilde_view(tilde_view):

@@ -120,12 +120,16 @@ class NcPolynomial:
     """Exact-rational linear combination of monomials, reduced in a view.
 
     ``coeffs`` maps each monomial of the support to an int when the coefficient
-    is integral, else to a Fraction with denominator > 1.  Scalars are ints and
-    Fractions only; any other operand is NotImplemented."""
+    is integral, else to a Fraction with denominator > 1.  Coefficients and
+    scalars are ints and Fractions only: a coefficient of another type raises
+    TypeError, and any other operand is NotImplemented."""
 
     __slots__ = ("view", "coeffs")
 
     def __init__(self, view: AlgebraView, coeffs):
+        for c in coeffs.values():
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__}")
         terms = {word: Fraction(c) for word, c in coeffs.items()}
         for word, c in terms.items():
             if c:  # a zero term is dropped, whatever its letters

@@ -1,4 +1,4 @@
-"""Thue-Morse banded operators at finite truncation.
+"""Thue-Morse banded operators: words at finite truncation, exact nilpotency.
 
 The two degree-one generators are superdiagonal 0/1 matrices: one carries the
 Thue-Morse bits, the other their complements.  A word in the generators is
@@ -32,7 +32,7 @@ class MarginTooSmallError(ValueError):
 
 
 class IndexExceedsTruncationError(RuntimeError):
-    """The nilpotency search approached the truncation band; result inconclusive."""
+    """The nilpotency search needs more than NILPOTENCY_PREFIX_CAP bits; inconclusive."""
 
 
 def thue_morse_bit(i: int) -> int:
@@ -323,31 +323,26 @@ def correspondence_scan(max_len: int, n: int, margin: int = DEFAULT_MARGIN) -> C
 # nilpotency of homogeneous multiples
 
 
-@dataclass(frozen=True)
-class NilpotencyResult:
-    index: int
-    index_at_double: int
-
-    @property
-    def stable(self) -> bool:
-        return self.index == self.index_at_double
+NILPOTENCY_PREFIX_CAP = 1 << 20  # Thue-Morse bits the nilpotency search may read
 
 
 def _element_words(element) -> dict[str, int]:
     """Normalize a homogeneous element over the generator symbols a, b to integer
-    coefficients (scaling by a common denominator; nilpotency is unaffected)."""
+    coefficients (scaling by a common denominator; nilpotency is unaffected).
+    A coefficient is an int or a Fraction; any other type raises TypeError."""
     if isinstance(element, dict):
-        coeffs = {w: Fraction(c) for w, c in element.items()}
+        coeffs = element
     elif element == 1:
-        coeffs = {"": Fraction(1)}
+        coeffs = {"": 1}
     else:
         raise ValueError("element must be a dict or 1")
     if not coeffs:
         raise ValueError("element must be nonzero")
-    for word in coeffs:
-        for c in word:
-            if c not in ("a", "b"):
-                raise ValueError(f"element words must use letters a, b; got {c!r}")
+    for word, c in coeffs.items():
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__}")
+        if set(word) - {"a", "b"}:
+            raise ValueError(f"element words must use letters a, b; got {word!r}")
     degrees = {len(w) for w in coeffs}
     if len(degrees) != 1:
         raise ValueError("element must be homogeneous")
@@ -355,53 +350,51 @@ def _element_words(element) -> dict[str, int]:
     return {w: int(c * denom) for w, c in coeffs.items()}
 
 
-def _element_operator(words_int: dict[str, int], n: int, tm: ThueMorseSequence) -> BandMatrix:
+def _element_operator(words_int: dict[str, int], n: int) -> BandMatrix:
     """Image of a homogeneous element over a, b at truncation n: one superdiagonal
     whose entries are sums of c times 0 or 1, so sum |c| bounds them exactly."""
     _check_bound(sum(abs(c) for c in words_int.values()), "element")
     degree = len(next(iter(words_int)))
     if degree >= n:
         return BandMatrix.zero(n)
-    bits = tm.bits(n - 1)
+    bits = THUE_MORSE.bits(n - 1)
     acc = np.zeros(n - degree, dtype=np.int64)
     for word, c in words_int.items():
         acc += c * _word_diagonal(word.translate(AB_TO_WORD), n, bits)
     return BandMatrix(n, {degree: acc})
 
 
-def nilpotency_index(
-    element,
-    side: str,
-    n: int,
-    margin: int = DEFAULT_MARGIN,
-    tm: ThueMorseSequence | None = None,
-) -> NilpotencyResult:
-    """Smallest k with (element * generator)^k = 0 at truncation n, re-verified at
-    truncation 2n.  ``side`` selects the generator: "a" (bits) or "b" (complements)."""
+def nilpotency_index(element, side: str) -> int:
+    """Smallest k with (element * generator)^k = 0 on the infinite Thue-Morse
+    word.  ``side`` selects the generator: "a" (bits) or "b" (complements).
+
+    With s the degree of element * generator, the k-th power vanishes exactly
+    when no factor of length k*s splits into k words with nonzero
+    coefficients.  The first 8 * 2^j bits are phi^(j+3)(y), and phi^3(y) =
+    yxxyxyyx has all four 2-factors ac, so they hold every covering word
+    phi^j(ac) and thus every factor of length <= 2^j (``covering_words``).
+    Band powers there that vanish first at k with k*s <= 2^j give the exact
+    index; otherwise the prefix grows.  Past NILPOTENCY_PREFIX_CAP bits the
+    search raises IndexExceedsTruncationError."""
     if side not in ("a", "b"):
         raise ValueError("side must be 'a' or 'b'")
-    if n < 2:
-        raise ValueError("truncation must be at least 2")
-    tm = tm or THUE_MORSE
     # element * generator: every word of the element gains the side letter
     words_int = {w + side: c for w, c in _element_words(element).items()}
     stride = len(next(iter(words_int)))
-
-    def index_at(size: int) -> int:
-        p = _element_operator(words_int, size, tm)
-        power = None
-        k = 0
-        while power is None or not power.is_zero():
-            k += 1
-            # a power this deep may vanish only because the truncation cut it off
-            if k * stride + margin >= size:
-                raise IndexExceedsTruncationError(
-                    f"index search reached the truncation band at k={k}, size={size}"
-                )
-            power = p if power is None else power * p
-        return k
-
-    return NilpotencyResult(index_at(n), index_at(2 * n))
+    j = (stride - 1).bit_length()  # least j with 2^j >= s
+    while True:
+        size = 8 << j
+        if size > NILPOTENCY_PREFIX_CAP:
+            raise IndexExceedsTruncationError(
+                f"the nilpotency index needs more than {NILPOTENCY_PREFIX_CAP} Thue-Morse bits"
+            )
+        p = _element_operator(words_int, size + 1)  # reads bits 1..size
+        power, k = p, 1
+        while not power.is_zero():
+            power, k = power * p, k + 1
+        if k * stride <= 1 << j:
+            return k
+        j = (k * stride - 1).bit_length()  # least j with 2^j >= k*s
 
 
 # ---------------------------------------------------------------------------

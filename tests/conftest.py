@@ -1,6 +1,6 @@
 import pytest
 
-from wordalg import interleave, words
+from wordalg import interleave, rowen, words
 
 
 @pytest.fixture(scope="session")
@@ -32,3 +32,23 @@ def tm_stream(tm_morphism):
 def tilde_stream(xy_stream):
     spec = interleave.InterleaveSpec(xy_stream, interleave.UniversalSequence())
     return interleave.InterleaveStream(spec)
+
+
+@pytest.fixture(scope="session")
+def truncated_nilpotency_index():
+    """Band-power index of element * generator at truncation n, the search that
+    ``rowen.nilpotency_index`` replaced; it asserts that no power it reads
+    comes within ``margin`` of the truncation band."""
+
+    def index(element, side, n, margin=rowen.DEFAULT_MARGIN):
+        words_int = {w + side: c for w, c in rowen._element_words(element).items()}
+        stride = len(next(iter(words_int)))
+        p = rowen._element_operator(words_int, n)
+        power, k = p, 1
+        while True:
+            assert k * stride + margin < n, f"power {k} reached the truncation band at {n}"
+            if power.is_zero():
+                return k
+            power, k = power * p, k + 1
+
+    return index

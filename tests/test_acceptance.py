@@ -146,21 +146,18 @@ def test_criterion_07_vanishing_factor_correspondence():
     c.finish()
 
 
-def test_criterion_08_graded_nil_vs_non_nil():
-    c = _Criterion(8, "nilpotency indices stable at truncations 1024 and 2048; shift is not", 120.0)
+def test_criterion_08_graded_nil_vs_non_nil(truncated_nilpotency_index):
+    c = _Criterion(8, "exact nilpotency indices match truncations 1024 and 2048; shift is not", 120.0)
     for side in ("a", "b"):
-        result = rowen.nilpotency_index(1, side, 1024)
-        c.check(result.index == 3, f"index(1,{side}) = {result.index}")
-        c.check(result.stable, f"index(1,{side}) unstable")
+        index = rowen.nilpotency_index(1, side)
+        c.check(index == 3, f"index(1,{side}) = {index}")
     for degree in (1, 2, 3):
         all_words = ["".join(t) for t in itertools.product("ab", repeat=degree)]
         for mask in range(1, 2 ** len(all_words)):
             element = {w: 1 for i, w in enumerate(all_words) if mask >> i & 1}
-            result = rowen.nilpotency_index(element, "a", 1024)
-            c.check(
-                result.stable,
-                f"f={sorted(element)}: {result.index} at 1024 vs {result.index_at_double} at 2048",
-            )
+            index = rowen.nilpotency_index(element, "a")
+            truncated = [truncated_nilpotency_index(element, "a", n) for n in (1024, 2048)]
+            c.check(truncated == [index, index], f"f={sorted(element)}: exact {index}, truncated {truncated}")
     for n in (1024, 2048):
         gen_a, gen_b = rowen.build_generators(n)
         shift = gen_a + gen_b

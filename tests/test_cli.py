@@ -543,8 +543,22 @@ def _assert_inconclusive(argv, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_rowen_truncation_reached_is_inconclusive(capsys):
-    _assert_inconclusive(["rowen", "--N", "66", "--margin", "64", "--maxlen", "1"], capsys)
+def test_rowen_nilpotency_prefix_cap_is_inconclusive(monkeypatch, capsys):
+    monkeypatch.setattr(rowen, "NILPOTENCY_PREFIX_CAP", 16)
+    assert run(["rowen", "--N", "512", "--maxlen", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "inconclusive: the nilpotency index needs more than 16 Thue-Morse bits\n"
+
+
+def test_rowen_nilpotency_index_does_not_depend_on_the_truncation(capsys):
+    # the index is exact: a truncation just above the margin gets the same one
+    assert run(["rowen", "--N", "66", "--margin", "64", "--maxlen", "1"]) == 0
+    rec = _record(capsys)[1]
+    assert rec["nilpotency_index_a"] == rec["nilpotency_index_b"] == "3"
+    assert rec["nilpotency_stable_a"] == rec["nilpotency_stable_b"] == "true"
+    # a truncation too small for the word is the margin's usage error
+    _assert_usage_error(["rowen", "--N", "10", "--word", "aaa"], "need truncation > 67", capsys)
 
 
 def test_certify_decomposition_not_found_is_inconclusive(capsys):

@@ -165,9 +165,16 @@ def test_canonical_form_rejects_floats_and_integral_fractions():
 
 
 def test_constructor_keeps_coefficients_canonical(xy_view):
-    p = NcPolynomial(xy_view, {"x": Fraction(4, 2), "y": Fraction(1, 2), "xy": 0.5, "yx": True})
+    p = NcPolynomial(xy_view, {"x": Fraction(4, 2), "y": Fraction(1, 2), "xy": Fraction(2, 4), "yx": True})
     assert p.coeffs == {"x": 2, "y": Fraction(1, 2), "xy": Fraction(1, 2), "yx": 1}
     assert all(map(_is_canonical, p.coeffs.values()))
+
+
+@pytest.mark.parametrize("coeff", [0.1, 2.0, "1/3", None])
+def test_constructor_rejects_inexact_coefficients(xy_view, coeff):
+    # Fraction(0.1) would keep the binary float bit for bit
+    with pytest.raises(TypeError, match="coefficients must be int or Fraction"):
+        NcPolynomial(xy_view, {"x": 1, "y": coeff})
 
 
 def test_products_that_turn_integral_become_ints():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from wordalg import cli, rowen
 from wordalg.rowen import (
+    AB_TO_WORD,
     THUE_MORSE,
     BandMatrix,
     IndexExceedsTruncationError,
@@ -25,7 +27,7 @@ from wordalg.rowen import (
     tm_word_stream,
     vanishing_matches_factor,
 )
-from wordalg.words import FactorIndex, PeriodicStream
+from wordalg.words import FactorIndex, PeriodicStream, covering_words
 
 
 # -- bits ---------------------------------------------------------------------
@@ -290,51 +292,104 @@ def test_a_nonzero_word_that_is_no_factor_is_a_mismatch(monkeypatch):
 
 def test_nilpotency_of_bare_generators():
     for side in ("a", "b"):
-        result = nilpotency_index(1, side, 512)
-        assert result.index == 3
-        assert result.stable
+        assert nilpotency_index(1, side) == 3
 
 
 def test_nilpotency_mixed_element():
-    result = nilpotency_index({"a": 1, "b": 1}, "a", 512)
-    assert result.index == 3  # frozen: stable at 512 and 1024
-    assert result.stable
+    assert nilpotency_index({"a": 1, "b": 1}, "a") == 3
 
 
 def test_nilpotency_rejects_inhomogeneous():
     with pytest.raises(ValueError):
-        nilpotency_index({"a": 1, "ab": 1}, "a", 512)
+        nilpotency_index({"a": 1, "ab": 1}, "a")
     with pytest.raises(ValueError):
-        nilpotency_index({"c": 1}, "a", 512)
+        nilpotency_index({"c": 1}, "a")
     with pytest.raises(ValueError):
-        nilpotency_index({}, "a", 512)
+        nilpotency_index({}, "a")
 
 
 def test_nilpotency_scaling_invariance():
-    from fractions import Fraction
-
-    plain = nilpotency_index({"ab": 1, "ba": 1}, "b", 512)
-    scaled = nilpotency_index({"ab": Fraction(1, 2), "ba": Fraction(1, 2)}, "b", 512)
-    assert plain.index == scaled.index
+    plain = nilpotency_index({"ab": 1, "ba": 1}, "b")
+    assert nilpotency_index({"ab": Fraction(1, 2), "ba": Fraction(1, 2)}, "b") == plain
 
 
-def test_nilpotency_index_exceeds_truncation():
-    # the full shift is not nilpotent at any index independent of the truncation,
-    # so the search must bail out instead of reporting a spurious index
-    with pytest.raises(IndexExceedsTruncationError):
-        nilpotency_index({"a": 1, "b": 1}, "a", 128, tm=_AllOnes())
+@pytest.mark.parametrize("coeff", [0.5, 1.0, "1/2", None])
+def test_nilpotency_rejects_inexact_coefficients(coeff):
+    with pytest.raises(TypeError, match="coefficients must be int or Fraction"):
+        nilpotency_index({"a": 1, "b": coeff}, "a")
 
 
-def test_nilpotency_index_checks_the_band_at_the_first_power():
-    # (abba)a maps to yxxyy, a Thue-Morse factor, so the first power is nonzero
-    # on the infinite word; at truncation 4 its band of 5 is cut off entirely
-    with pytest.raises(IndexExceedsTruncationError, match="k=1"):
-        nilpotency_index({"abba": 1}, "a", 4, margin=0)
+def test_nilpotency_index_past_the_prefix_cap_raises(monkeypatch):
+    # on 8 bits the generator's power 3 vanishes, but 3 > 2^0: the search
+    # moves on to 32 bits, where 3 <= 2^2
+    monkeypatch.setattr(rowen, "NILPOTENCY_PREFIX_CAP", 31)
+    with pytest.raises(IndexExceedsTruncationError, match="more than 31 Thue-Morse bits"):
+        nilpotency_index(1, "a")
+    monkeypatch.setattr(rowen, "NILPOTENCY_PREFIX_CAP", 32)
+    assert nilpotency_index(1, "a") == 3
 
 
-class _AllOnes(ThueMorseSequence):
-    def bits(self, n):
-        return np.ones(n, dtype=np.int64)
+def test_nilpotency_index_reads_a_factor_that_first_occurs_late():
+    # this factor of length 18 first occurs at bits 96..113; as element * b its
+    # first power is nonzero, and its square would be a square of period 18,
+    # which the Thue-Morse word does not hold
+    word = "yyxxyxyyxxyyxyxxyx"
+    assert THUE_MORSE.word_prefix(113).find(word) == 95
+    element = {word[:-1].translate(str.maketrans("yx", "ab")): 1}
+    assert nilpotency_index(element, "b") == 2 == _split_index(element, "b")
+
+
+def test_prefix_of_eight_blocks_holds_every_short_factor():
+    # the first 8 * 2^j letters are phi^(j+3)(y), which holds phi^j(ac) for
+    # every 2-factor ac: the covering words of the factors of length <= 2^j
+    for j in range(11):
+        prefix = FactorIndex(THUE_MORSE.word_prefix(8 << j), ("x", "y"))
+        covering = covering_words(tm_word_stream(), 1 << j)
+        assert all(word in prefix for word in covering)
+        exact = FactorIndex(covering, ("x", "y"))
+        for length in range(min(1 << j, prefix.packed_limit) + 1):
+            assert prefix.of_length(length) == exact.of_length(length)
+        # half the prefix, phi^(j+2)(y) = phi^j(yxxy), lacks phi^j(yy)
+        half = THUE_MORSE.word_prefix(4 << j)
+        assert covering[-1] not in half
+
+
+def _split_index(element, side):
+    """Least k such that no Thue-Morse factor of length k*s splits into k words
+    of element * generator with nonzero coefficients (brute force over the
+    exact factors)."""
+    support = {(w + side).translate(AB_TO_WORD) for w, c in element.items() if c}
+    stride = len(next(iter(element))) + 1
+    k = 1
+    while True:
+        length = k * stride
+        factors = FactorIndex(covering_words(tm_word_stream(), length), ("x", "y")).of_length(length)
+        if not any(all(f[i : i + stride] in support for i in range(0, length, stride)) for f in factors):
+            return k
+        k += 1
+
+
+@given(
+    degree=st.integers(0, 4),
+    side=st.sampled_from("ab"),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_nilpotency_index_matches_truncated_and_brute_force(degree, side, data, truncated_nilpotency_index):
+    element = data.draw(
+        st.dictionaries(
+            st.text(alphabet="ab", min_size=degree, max_size=degree),
+            st.integers(-5, 5),
+            min_size=1,
+        )
+    )
+    exact = nilpotency_index(element, side)
+    if any(element.values()):
+        assert exact == _split_index(element, side)
+    else:
+        assert exact == 1
+    for n in (2048, 4096):
+        assert truncated_nilpotency_index(element, side, n) == exact
 
 
 @given(
@@ -358,17 +413,17 @@ def test_element_operator_matches_generator_products(degree, n, data):
         for ch in word:
             mat = mat * by_letter[ch]
         expected = expected + mat.scaled(c)
-    assert _element_operator(_element_words(element), n, THUE_MORSE) == expected
+    assert _element_operator(_element_words(element), n) == expected
 
 
 def test_element_operator_bounds_the_coefficient_sum():
     # every entry sums c times 0 or 1, so sum |c| < 2^63 is the exact bound
-    below = _element_operator({"a": 2**62, "b": -(2**62 - 1)}, 8, THUE_MORSE)
+    below = _element_operator({"a": 2**62, "b": -(2**62 - 1)}, 8)
     assert below.max_abs() == 2**62
     with pytest.raises(OverflowError):
-        _element_operator({"a": 2**62, "b": -(2**62)}, 8, THUE_MORSE)
+        _element_operator({"a": 2**62, "b": -(2**62)}, 8)
     with pytest.raises(OverflowError):
-        nilpotency_index({"ab": 2**62, "ba": 2**62}, "a", 128)
+        nilpotency_index({"ab": 2**62, "ba": 2**62}, "a")
 
 
 # -- growth -----------------------------------------------------------------------------------

@@ -5,10 +5,11 @@ Usage: python scripts/certify_report.py [--horizons 10000,100000]
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from wordalg import grading, words
-from wordalg.cli import emit_report
+from wordalg.cli import emit_report, report_errors
 
 MORPHISMS = Path(__file__).resolve().parent.parent / "morphisms"
 
@@ -38,4 +39,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(report_errors(main))

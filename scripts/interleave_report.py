@@ -5,10 +5,11 @@ Usage: python scripts/interleave_report.py [--horizon 1000000] [--Lfree 5]
 """
 
 import argparse
+import sys
 import warnings
 
 from wordalg import interleave
-from wordalg.cli import emit_report
+from wordalg.cli import emit_report, report_errors
 from wordalg.monalg import HorizonWarning
 
 
@@ -28,4 +29,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(report_errors(main))

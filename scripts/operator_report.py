@@ -7,15 +7,15 @@ Usage: python scripts/operator_report.py [--N 4096] [--maxlen 12]
 
 import argparse
 import itertools
+import sys
 
 from wordalg import rowen
-from wordalg.cli import emit_report
+from wordalg.cli import emit_report, report_errors
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--N", type=int, default=4096)
-    parser.add_argument("--horizon", type=int, default=100_000)
     parser.add_argument("--maxlen", type=int, default=12)
     parser.add_argument("--fdeg", type=int, default=3, help="max degree of the 0/1 elements tested")
     args = parser.parse_args()
@@ -40,9 +40,9 @@ def main():
         "nilpotency_max_index": str(worst),
     }))
 
-    profile = rowen.growth_profile((64, 128, 256), args.horizon)
+    profile = rowen.growth_profile((64, 128, 256))
     print(emit_report(profile.to_record()))
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(report_errors(main))

@@ -201,7 +201,12 @@ def _cmd_rowen(args) -> tuple[int, str]:
 
 def _cmd_growth(args) -> tuple[int, str]:
     stream = None if args.periodic is None else words.PeriodicStream(args.periodic)
-    profile = rowen.growth_profile(_parse_csv_ints(args.nvalues), args.horizon, stream=stream)
+    n_values = _parse_csv_ints(args.nvalues)
+    # the counts are exact and read no prefix, so --horizon bounds nothing and
+    # is only validated; invalid n values are left to growth_profile's message
+    if n_values and min(n_values) >= 1 and args.horizon < 8 * max(n_values):
+        raise ValueError("horizon too small for complexity stabilization at max n")
+    profile = rowen.growth_profile(n_values, stream=stream)
     return (0 if profile.quadratic else 1), emit_report(profile.to_record())
 
 
@@ -286,17 +291,13 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
         sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
 
-def run(argv=None) -> int:
-    """Parse arguments, execute, print the report; return the exit code."""
-    parser = _build_parser()
+def report_errors(fn, *args) -> int:
+    """Call fn(*args) and return its exit code (None counts as 0).  A usage
+    error or malformed input prints one `error: ...` line on stderr and gives
+    2; an inconclusive run prints one `inconclusive: ...` line and gives 3.
+    The ``wordalg`` command and the scripts share this mapping."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        with warnings.catch_warnings():
-            warnings.showwarning = _show_warning
-            code, text = args.func(args)
+        return fn(*args) or 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -308,6 +309,22 @@ def run(argv=None) -> int:
     ) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
+
+
+def run(argv=None) -> int:
+    """Parse arguments, execute, print the report; return the exit code."""
+    parser = _build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    return report_errors(_execute, args)
+
+
+def _execute(args) -> int:
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        code, text = args.func(args)
     try:
         print(text)
         sys.stdout.flush()

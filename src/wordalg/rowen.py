@@ -1,11 +1,13 @@
-"""Thue-Morse banded operators: words at finite truncation, exact nilpotency.
+"""Thue-Morse operators on one superdiagonal: words at finite truncation, exact nilpotency.
 
 The two degree-one generators are superdiagonal 0/1 matrices: one carries the
-Thue-Morse bits, the other their complements.  A word in the generators is
-supported on a single superdiagonal whose entries are products of bits, so a
-word evaluates to zero exactly when the corresponding letter pattern never
-occurs in the Thue-Morse word.  All arithmetic is exact integer arithmetic
-(int64, with every operation checked against an exact bound on its result).
+Thue-Morse bits, the other their complements.  A word in the generators, and
+any homogeneous element, lies on the single superdiagonal of its degree, so
+``BandMatrix`` holds one diagonal and ``_band`` builds every one of them.  The
+entries of a word are products of bits, so a word evaluates to zero exactly
+when the corresponding letter pattern never occurs in the Thue-Morse word.
+All arithmetic is exact integer arithmetic (int64, with every operation
+checked against an exact bound on its result).
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def tm_word_stream() -> MorphicStream:
 
 
 # ---------------------------------------------------------------------------
-# banded matrices
+# one-superdiagonal matrices
 
 
 _INT64_LIMIT = 2**63
@@ -84,55 +86,33 @@ def _check_bound(bound: int, what: str):
 
 
 class BandMatrix:
-    """Square integer matrix supported on upper diagonals.
+    """Square integer matrix supported on at most one upper diagonal.
 
-    ``diags`` maps offset k >= 0 to the vector of entries (i, i+k) for
-    i = 1..size-k.  Entries are exact int64: sums, scalings and products raise
-    OverflowError unless a bound on each result entry stays below 2^63.
+    ``diags`` is empty for the zero matrix; otherwise it maps the one offset
+    k >= 0 to the vector of entries (i, i+k) for i = 1..size-k.  A product of
+    two such matrices is again one diagonal, each entry a single product, so
+    the operators of the Thue-Morse words and elements never need more.
+    Entries are exact int64: sums and products raise OverflowError unless a
+    bound on each result entry stays below 2^63.
     """
 
     __slots__ = ("size", "diags", "_max_abs")
 
-    def __init__(self, size: int, diags):
-        if size < 1:
-            raise ValueError("size must be positive")
-        store: dict[int, np.ndarray] = {}
-        max_abs = 0
-        for k, vec in diags.items():
-            if not 0 <= k < size:
-                raise ValueError(f"diagonal offset {k} out of range for size {size}")
-            arr = np.asarray(vec, dtype=np.int64)
-            if arr.shape != (size - k,):
-                raise ValueError(f"diagonal {k} must have length {size - k}")
-            hi, lo = int(arr.max()), int(arr.min())
-            if hi or lo:
-                store[k] = arr
-                max_abs = max(max_abs, hi, -lo)
+    def __init__(self, size: int, offset: int, vec):
+        if not 0 <= offset < size:
+            raise ValueError(f"diagonal offset {offset} out of range for size {size}")
+        arr = np.asarray(vec, dtype=np.int64)
+        if arr.shape != (size - offset,):
+            raise ValueError(f"diagonal {offset} must have length {size - offset}")
+        hi, lo = int(arr.max()), int(arr.min())
         self.size = size
-        self.diags = store
-        self._max_abs = max_abs
+        self.diags = {offset: arr} if hi or lo else {}
+        self._max_abs = max(hi, -lo)
 
     @classmethod
     def zero(cls, size: int) -> "BandMatrix":
-        return cls(size, {})
-
-    @classmethod
-    def identity(cls, size: int) -> "BandMatrix":
-        return cls(size, {0: np.ones(size, dtype=np.int64)})
-
-    def diagonal(self, k: int) -> np.ndarray:
-        if k in self.diags:
-            return self.diags[k].copy()
-        return np.zeros(self.size - k, dtype=np.int64)
-
-    def entry(self, i: int, j: int) -> int:
-        """1-based entry (i, j)."""
-        if not (1 <= i <= self.size and 1 <= j <= self.size):
-            raise IndexError("entry out of range")
-        k = j - i
-        if k < 0 or k not in self.diags:
-            return 0
-        return int(self.diags[k][i - 1])
+        """The zero matrix: an all-zero diagonal is stored as none."""
+        return cls(size, size - 1, [0])
 
     def is_zero(self) -> bool:
         return not self.diags
@@ -146,62 +126,45 @@ class BandMatrix:
     def __eq__(self, other):
         if not isinstance(other, BandMatrix) or self.size != other.size:
             return NotImplemented
-        keys = set(self.diags) | set(other.diags)
-        return all(np.array_equal(self.diagonal(k), other.diagonal(k)) for k in keys)
+        return self.diags.keys() == other.diags.keys() and all(
+            np.array_equal(v, other.diags[k]) for k, v in self.diags.items()
+        )
 
     def __add__(self, other):
+        """Sum of two bands on the same diagonal, or of a band and zero."""
         self._check(other)
-        _check_bound(self.max_abs() + other.max_abs(), "sum")
-        out = {}
-        for k in set(self.diags) | set(other.diags):
-            out[k] = self.diagonal(k) + other.diagonal(k)
-        return BandMatrix(self.size, out)
-
-    def scaled(self, c: int) -> "BandMatrix":
-        if c == 0:
-            return BandMatrix.zero(self.size)
-        _check_bound(self.max_abs() * abs(int(c)), "scaling")
-        return BandMatrix(self.size, {k: v * int(c) for k, v in self.diags.items()})
+        if not (self.diags and other.diags):
+            return other if self.is_zero() else self
+        ((k1, d1),), ((k2, d2),) = self.diags.items(), other.diags.items()
+        if k1 != k2:
+            raise ValueError(f"bands on diagonals {k1} and {k2} have no one-diagonal sum")
+        _check_bound(self._max_abs + other._max_abs, "sum")
+        return BandMatrix(self.size, k1, d1 + d2)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scaled(other)
+        """Entry (i, i+k1+k2) of the product is the one product of (i, i+k1)
+        and (i+k1, i+k1+k2): a shifted elementwise product."""
         self._check(other)
-        # an entry of diagonal k sums one product per pair k1 + k2 = k
-        terms = min(len(self.diags), len(other.diags))
-        _check_bound(self.max_abs() * other.max_abs() * terms, "product")
-        out: dict[int, np.ndarray] = {}
+        _check_bound(self._max_abs * other._max_abs, "product")
         n = self.size
-        for k1, d1 in self.diags.items():
-            for k2, d2 in other.diags.items():
-                k = k1 + k2
-                if k >= n:
-                    continue
-                length = n - k
-                prod = d1[:length] * d2[k1 : k1 + length]
-                if k in out:
-                    out[k] = out[k] + prod
-                else:
-                    out[k] = prod
-        return BandMatrix(n, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scaled(other)
-        return NotImplemented
+        if not (self.diags and other.diags):
+            return BandMatrix.zero(n)
+        ((k1, d1),), ((k2, d2),) = self.diags.items(), other.diags.items()
+        if k1 + k2 >= n:
+            return BandMatrix.zero(n)
+        return BandMatrix(n, k1 + k2, d1[: n - k1 - k2] * d2[k1:])
 
     def __pow__(self, exponent: int) -> "BandMatrix":
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
-        result = BandMatrix.identity(self.size)
+        result = BandMatrix(self.size, 0, np.ones(self.size, dtype=np.int64))
         base = self
         while exponent:
             if exponent & 1:
                 result = result * base
-            base_needed = exponent >> 1
-            if base_needed:
+            exponent >>= 1
+            if exponent:
                 base = base * base
-            exponent = base_needed
         return result
 
     def _check(self, other):
@@ -209,53 +172,59 @@ class BandMatrix:
             raise ValueError("band matrices must have equal size")
 
 
-def _word_diagonal(word: str, n: int, bits: np.ndarray) -> np.ndarray:
-    """Superdiagonal len(word) of a word over {x, y} at truncation n > len(word):
-    entry t is the product over j of bit t+j (letter y) or its complement
-    (letter x), read from ``bits`` = m_1..m_{n-1}."""
-    length = len(word)
-    vec = np.ones(n - length, dtype=np.int64)
-    for j, ch in enumerate(word):
-        letter = bits[j : j + n - length]
-        vec *= letter if ch == "y" else 1 - letter
-    return vec
+def _band(words: dict[str, int], n: int) -> BandMatrix:
+    """The operator at truncation n of the homogeneous integer combination
+    sum c * word of words over {x, y} (y -> bit generator, x -> complement).
+    It lies on superdiagonal s, the degree, and its entry t sums c times the
+    product over j < s of bit t+j (letter y) or its complement (letter x),
+    read from m_1..m_{n-1}.  Each product is 0 or 1, so sum |c| bounds the
+    entries exactly."""
+    for word in words:
+        if set(word) - set(WORD_LETTERS):
+            raise ValueError(f"word letters must be in {WORD_LETTERS}, got {word!r}")
+    _check_bound(sum(abs(c) for c in words.values()), "element")
+    degree = len(next(iter(words)))
+    if degree >= n:
+        return BandMatrix.zero(n)
+    bits = THUE_MORSE.bits(n - 1)
+    acc = np.zeros(n - degree, dtype=np.int64)
+    for word, c in words.items():
+        vec = np.full(n - degree, c, dtype=np.int64)
+        for j, ch in enumerate(word):
+            letter = bits[j : j + n - degree]
+            vec *= letter if ch == "y" else 1 - letter
+        acc += vec
+    return BandMatrix(n, degree, acc)
 
 
 def build_generators(n: int) -> tuple[BandMatrix, BandMatrix]:
     """Truncated generators: bit m_i at (i, i+1) for the first, 1-m_i for the second."""
     if n < 2:
         raise ValueError("truncation must be at least 2")
-    bits = THUE_MORSE.bits(n - 1)
-    return tuple(BandMatrix(n, {1: _word_diagonal(letter, n, bits)}) for letter in "yx")
+    return _band({"y": 1}, n), _band({"x": 1}, n)
 
 
 # ---------------------------------------------------------------------------
 # word evaluation
 
 
-def _check_word_letters(word: str):
-    for c in word:
-        if c not in WORD_LETTERS:
-            raise ValueError(f"word letters must be in {WORD_LETTERS}, got {c!r}")
-
-
 def evaluate_word(word: str, n: int, margin: int = DEFAULT_MARGIN) -> BandMatrix:
     """Image of a word over {x, y} (y -> bit generator, x -> complement) at
     truncation n.  Requires n > len(word) + margin so the probed band cannot be
     an artifact of the truncation."""
-    _check_word_letters(word)
     if n <= len(word) + margin:
         raise MarginTooSmallError(
             f"need truncation > {len(word) + margin} for a word of length {len(word)}"
         )
-    return BandMatrix(n, {len(word): _word_diagonal(word, n, THUE_MORSE.bits(n - 1))})
+    return _band({word: 1}, n)
 
 
 def coefficient(word: str, t: int) -> int:
     """Product of bits/complements along the word starting at index t: equals the
     (t, t+len) entry of the evaluated word.  Reads the bits by popcount, so it
     is independent of the bit cache."""
-    _check_word_letters(word)
+    if set(word) - set(WORD_LETTERS):
+        raise ValueError(f"word letters must be in {WORD_LETTERS}, got {word!r}")
     if t < 1:
         raise ValueError("indices start at 1")
     return int(all(thue_morse_bit(t + j) == (ch == "y") for j, ch in enumerate(word)))
@@ -350,20 +319,6 @@ def _element_words(element) -> dict[str, int]:
     return {w: int(c * denom) for w, c in coeffs.items()}
 
 
-def _element_operator(words_int: dict[str, int], n: int) -> BandMatrix:
-    """Image of a homogeneous element over a, b at truncation n: one superdiagonal
-    whose entries are sums of c times 0 or 1, so sum |c| bounds them exactly."""
-    _check_bound(sum(abs(c) for c in words_int.values()), "element")
-    degree = len(next(iter(words_int)))
-    if degree >= n:
-        return BandMatrix.zero(n)
-    bits = THUE_MORSE.bits(n - 1)
-    acc = np.zeros(n - degree, dtype=np.int64)
-    for word, c in words_int.items():
-        acc += c * _word_diagonal(word.translate(AB_TO_WORD), n, bits)
-    return BandMatrix(n, {degree: acc})
-
-
 def nilpotency_index(element, side: str) -> int:
     """Smallest k with (element * generator)^k = 0 on the infinite Thue-Morse
     word.  ``side`` selects the generator: "a" (bits) or "b" (complements).
@@ -379,8 +334,8 @@ def nilpotency_index(element, side: str) -> int:
     if side not in ("a", "b"):
         raise ValueError("side must be 'a' or 'b'")
     # element * generator: every word of the element gains the side letter
-    words_int = {w + side: c for w, c in _element_words(element).items()}
-    stride = len(next(iter(words_int)))
+    words = {(w + side).translate(AB_TO_WORD): c for w, c in _element_words(element).items()}
+    stride = len(next(iter(words)))
     j = (stride - 1).bit_length()  # least j with 2^j >= s
     while True:
         size = 8 << j
@@ -388,7 +343,7 @@ def nilpotency_index(element, side: str) -> int:
             raise IndexExceedsTruncationError(
                 f"the nilpotency index needs more than {NILPOTENCY_PREFIX_CAP} Thue-Morse bits"
             )
-        p = _element_operator(words_int, size + 1)  # reads bits 1..size
+        p = _band(words, size + 1)  # reads bits 1..size
         power, k = p, 1
         while not power.is_zero():
             power, k = power * p, k + 1
@@ -427,20 +382,17 @@ class GrowthProfile:
 RATIO_BAND = (3.5, 4.5)
 
 
-def growth_profile(n_values, horizon: int, stream: PrefixStream | None = None) -> GrowthProfile:
+def growth_profile(n_values, stream: PrefixStream | None = None) -> GrowthProfile:
     """Cumulative distinct-factor counts with the quadratic-band check: for each n
     in the sample, cumulative(2n)/cumulative(n) must lie in [3.5, 4.5].
 
     The counts are exact (``exact_factor_counts``), so the stream must be the
     fixed point of a primitive morphism or periodic; it defaults to the
-    Thue-Morse word.  ``horizon`` does not bound them; it is still checked,
-    so every input keeps its exit code."""
+    Thue-Morse word."""
     n_values = tuple(int(v) for v in n_values)
     if not n_values or any(v < 1 for v in n_values):
         raise ValueError("n_values must be positive")
     max_needed = 2 * max(n_values)
-    if horizon < 4 * max_needed:
-        raise ValueError("horizon too small for complexity stabilization at max n")
     if stream is None:
         stream = tm_word_stream()
     cumsum = list(accumulate(exact_factor_counts(stream, max_needed)))

@@ -41,9 +41,9 @@ def truncated_nilpotency_index():
     comes within ``margin`` of the truncation band."""
 
     def index(element, side, n, margin=rowen.DEFAULT_MARGIN):
-        words_int = {w + side: c for w, c in rowen._element_words(element).items()}
-        stride = len(next(iter(words_int)))
-        p = rowen._element_operator(words_int, n)
+        words = {(w + side).translate(rowen.AB_TO_WORD): c for w, c in rowen._element_words(element).items()}
+        stride = len(next(iter(words)))
+        p = rowen._band(words, n)
         power, k = p, 1
         while True:
             assert k * stride + margin < n, f"power {k} reached the truncation band at {n}"

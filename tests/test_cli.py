@@ -271,6 +271,16 @@ def test_growth_command(capsys):
     assert rec["quadratic"] == "true"
 
 
+def test_growth_command_validates_horizon(capsys):
+    # the counts are exact, so --horizon bounds nothing, but it must still be
+    # at least 8 times the largest n; an invalid n value is reported first
+    message = "error: horizon too small for complexity stabilization at max n"
+    _assert_usage_error(["growth", "--horizon", "100"], message, capsys)
+    _assert_usage_error(["growth", "--nvalues", "64", "--horizon", "511"], message, capsys)
+    _assert_usage_error(["growth", "--nvalues", "0,64", "--horizon", "100"], "error: n_values must be positive", capsys)
+    assert run(["growth", "--nvalues", "64", "--horizon", "512"]) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["--horizon", "0", "--maxlen", "2"],
     ["--horizon", "5", "--maxlen", "3"],
@@ -375,6 +385,22 @@ def test_empty_weights_or_start_exits_two(argv, message, capsys):
 
 def _cli_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize("argv", [
+    ["operator_report.py", "--N", "50"],
+    ["operator_report.py", "--maxlen", "0"],
+    ["certify_report.py", "--horizons", "100,10"],
+    ["interleave_report.py", "--horizon", "50"],
+])
+def test_script_usage_error_is_one_line(argv):
+    # the scripts share the command's mapping of errors to exit codes
+    proc = subprocess.run([sys.executable, str(REPO / "scripts" / argv[0]), *argv[1:]],
+                          capture_output=True, text=True, env=_cli_env(), timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 def test_horizon_warning_is_one_stderr_line():

@@ -15,7 +15,7 @@ from wordalg.rowen import (
     IndexExceedsTruncationError,
     MarginTooSmallError,
     ThueMorseSequence,
-    _element_operator,
+    _band,
     _element_words,
     build_generators,
     coefficient,
@@ -87,62 +87,67 @@ def _dense(mat: BandMatrix) -> np.ndarray:
     return out
 
 
+def _rand_band(rng, n, k):
+    return BandMatrix(n, k, [rng.randint(-3, 3) for _ in range(n - k)])
+
+
 def test_band_matrix_roundtrip_and_entry():
-    m = BandMatrix(4, {1: [1, 0, 2]})
-    assert m.entry(1, 2) == 1
-    assert m.entry(2, 3) == 0
-    assert m.entry(3, 4) == 2
-    assert m.entry(1, 1) == 0
+    m = BandMatrix(4, 1, [1, 0, 2])
+    assert list(m.diags) == [1]
+    assert m.diags[1].tolist() == [1, 0, 2]  # entries (1, 2), (2, 3), (3, 4)
     assert m.nnz() == 2
+    assert m.max_abs() == 2
+    assert BandMatrix(4, 2, [0, 0]).diags == {}
+    assert BandMatrix(4, 2, [0, 0]) == BandMatrix.zero(4)
+    for offset, vec in ((4, []), (-1, [1] * 5), (1, [1, 1])):
+        with pytest.raises(ValueError):
+            BandMatrix(4, offset, vec)
 
 
 def test_band_matrix_mul_matches_dense():
     rng = random.Random(5)
-    for _ in range(40):
-        n = rng.randint(2, 8)
-        def rand_band():
-            return BandMatrix(
-                n,
-                {
-                    k: [rng.randint(-3, 3) for _ in range(n - k)]
-                    for k in rng.sample(range(n), rng.randint(0, n))
-                },
-            )
-        a, b = rand_band(), rand_band()
-        assert np.array_equal(_dense(a * b), _dense(a) @ _dense(b))
-        assert np.array_equal(_dense(a + b), _dense(a) + _dense(b))
+    for _ in range(80):
+        n = rng.randint(1, 8)
+        a = _rand_band(rng, n, rng.randrange(n))
+        b = _rand_band(rng, n, rng.randrange(n))
+        product = a * b
+        assert len(product.diags) <= 1
+        assert np.array_equal(_dense(product), _dense(a) @ _dense(b))
+        same = _rand_band(rng, n, next(iter(a.diags), 0))
+        assert np.array_equal(_dense(a + same), _dense(a) + _dense(same))
+        assert a + BandMatrix.zero(n) == a == BandMatrix.zero(n) + a
 
 
 def test_band_matrix_pow_matches_dense():
-    m = BandMatrix(6, {0: [1] * 6, 1: [1, 0, 1, 1, 0]})
-    dense = _dense(m)
-    for k in range(5):
-        assert np.array_equal(_dense(m**k), np.linalg.matrix_power(dense, k))
+    rng = random.Random(8)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        m = _rand_band(rng, n, rng.randrange(n))
+        for k in range(5):
+            assert np.array_equal(_dense(m**k), np.linalg.matrix_power(_dense(m), k))
 
 
 def test_band_matrix_overflow_guard():
-    big = BandMatrix(3, {0: [2**32, 1, 1]})
+    # an entry of a product is a single product, so one diagonal of 2^31
+    # squares exactly to 2^62, below 2^63, and one of 2^32 is refused
+    single = BandMatrix(4, 1, [2**31] * 3)
+    assert (single * single).diags[2].tolist() == [2**62] * 2
+    big = BandMatrix(3, 0, [2**32, 1, 1])
     with pytest.raises(OverflowError):
         big * big
 
 
-def test_band_matrix_product_bound_counts_the_diagonals():
-    # entry (1, 4) of the square sums four products of 2^31 - 1
-    m = BandMatrix(8, {k: [2**31 - 1] * (8 - k) for k in range(4)})
-    with pytest.raises(OverflowError):
-        m * m
-    # one diagonal of 2^31 squares exactly, below 2^63
-    single = BandMatrix(4, {1: [2**31] * 3})
-    assert (single * single).entry(1, 3) == 2**62
-
-
-def test_band_matrix_sum_and_scaling_bounds():
-    m = BandMatrix(2, {0: [2**62, 1]})
-    with pytest.raises(OverflowError):
-        m.scaled(4)
+def test_band_matrix_sum_bound_and_diagonals():
+    m = BandMatrix(2, 0, [2**62, 1])
     with pytest.raises(OverflowError):
         m + m
-    assert (m.scaled(1) + BandMatrix.zero(2)).entry(1, 1) == 2**62
+    assert (m + BandMatrix.zero(2)).diags[0].tolist() == [2**62, 1]
+    with pytest.raises(ValueError, match="no one-diagonal sum"):
+        BandMatrix(3, 0, [1, 1, 1]) + BandMatrix(3, 1, [1, 1])
+    with pytest.raises(ValueError, match="equal size"):
+        BandMatrix(3, 0, [1, 1, 1]) * BandMatrix(2, 0, [1, 1])
+    with pytest.raises(ValueError, match="equal size"):
+        m * 2  # no scalar multiplication: coefficients enter through the builder
 
 
 # -- generators ---------------------------------------------------------------------
@@ -150,10 +155,10 @@ def test_band_matrix_sum_and_scaling_bounds():
 
 def test_generators_small_truncation():
     a, b = build_generators(4)
-    assert list(a.diagonal(1)) == [1, 0, 0]
-    assert list(b.diagonal(1)) == [0, 1, 1]
+    assert a.diags[1].tolist() == [1, 0, 0]
+    assert b.diags[1].tolist() == [0, 1, 1]
     shift = a + b
-    assert list(shift.diagonal(1)) == [1, 1, 1]
+    assert shift.diags[1].tolist() == [1, 1, 1]
 
 
 def test_shift_nilpotency_is_the_truncation():
@@ -177,14 +182,16 @@ def test_generator_products_live_on_one_superdiagonal():
 def test_evaluate_word_examples():
     assert evaluate_word("yyy", 512).is_zero()
     assert not evaluate_word("yx", 512).is_zero()
-    assert evaluate_word("", 512) == BandMatrix.identity(512)
+    assert evaluate_word("", 512) == BandMatrix(512, 0, [1] * 512)
 
 
 def test_evaluate_word_margin():
     with pytest.raises(MarginTooSmallError):
         evaluate_word("yx", 60)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="word letters must be in"):
         evaluate_word("ab", 512)
+    with pytest.raises(ValueError, match="word letters must be in"):
+        _band({"yx": 1, "xb": 1}, 8)  # every word's letters are checked
 
 
 def test_evaluate_word_matches_generator_products():
@@ -194,8 +201,8 @@ def test_evaluate_word_matches_generator_products():
     rng = random.Random(6)
     for _ in range(25):
         word = "".join(rng.choice("xy") for _ in range(rng.randint(1, 6)))
-        mat = BandMatrix.identity(n)
-        for ch in word:
+        mat = by_letter[word[0]]
+        for ch in word[1:]:
             mat = mat * by_letter[ch]
         assert evaluate_word(word, n) == mat
 
@@ -219,7 +226,10 @@ def test_coefficient_equals_matrix_entry():
     for _ in range(60):
         word = "".join(rng.choice("xy") for _ in range(rng.randint(1, 8)))
         t = rng.randint(1, 100)
-        assert coefficient(word, t) == evaluate_word(word, n).entry(t, t + len(word))
+        diags = evaluate_word(word, n).diags
+        assert coefficient(word, t) == (int(diags[len(word)][t - 1]) if diags else 0)
+    with pytest.raises(ValueError, match="word letters must be in"):
+        coefficient("ab", 1)
 
 
 # -- the vanishing / factor correspondence ----------------------------------------------
@@ -406,22 +416,26 @@ def test_element_operator_matches_generator_products(degree, n, data):
             min_size=1,
         )
     )
+    # the generator products of the words, each on superdiagonal `degree`,
+    # summed with their coefficients by numpy
     by_letter = dict(zip("ab", build_generators(n)))
-    expected = BandMatrix.zero(n)
+    expected = np.zeros((n, n), dtype=np.int64)
     for word, c in element.items():
-        mat = BandMatrix.identity(n)
+        mat = np.eye(n, dtype=np.int64)
         for ch in word:
-            mat = mat * by_letter[ch]
-        expected = expected + mat.scaled(c)
-    assert _element_operator(_element_words(element), n) == expected
+            mat = mat @ _dense(by_letter[ch])
+        expected += c * mat
+    band = _band({w.translate(AB_TO_WORD): c for w, c in _element_words(element).items()}, n)
+    assert set(band.diags) <= {degree}
+    assert np.array_equal(_dense(band), expected)
 
 
 def test_element_operator_bounds_the_coefficient_sum():
     # every entry sums c times 0 or 1, so sum |c| < 2^63 is the exact bound
-    below = _element_operator({"a": 2**62, "b": -(2**62 - 1)}, 8)
+    below = _band({"y": 2**62, "x": -(2**62 - 1)}, 8)
     assert below.max_abs() == 2**62
     with pytest.raises(OverflowError):
-        _element_operator({"a": 2**62, "b": -(2**62)}, 8)
+        _band({"y": 2**62, "x": -(2**62)}, 8)
     with pytest.raises(OverflowError):
         nilpotency_index({"ab": 2**62, "ba": 2**62}, "a")
 
@@ -430,7 +444,7 @@ def test_element_operator_bounds_the_coefficient_sum():
 
 
 def test_growth_profile_tm():
-    profile = growth_profile((64, 128, 256), 100_000)
+    profile = growth_profile((64, 128, 256))
     assert profile.quadratic
     assert all(3.5 <= r <= 4.5 for r in profile.ratios)
     assert profile.cumulative[0] > 64 * 64  # comfortably quadratic
@@ -438,26 +452,21 @@ def test_growth_profile_tm():
 
 
 def test_growth_profile_first_counts():
-    profile = growth_profile((1, 2), 10_000)
+    profile = growth_profile((1, 2))
     assert profile.cumulative[0] == 3  # empty factor + x + y
     assert profile.cumulative[1] == 7  # plus the four length-2 factors
 
 
 def test_growth_profile_periodic_control():
-    profile = growth_profile((64, 128, 256), 100_000, stream=PeriodicStream("xy"))
+    profile = growth_profile((64, 128, 256), stream=PeriodicStream("xy"))
     assert not profile.quadratic
     assert all(r < 3.5 for r in profile.ratios)
-
-
-def test_growth_profile_validates_horizon():
-    with pytest.raises(ValueError):
-        growth_profile((64,), 100)
 
 
 def test_growth_profile_builds_no_prefix():
     for stream in (tm_word_stream(), PeriodicStream("xy")):
         before = stream._length
-        growth_profile((64, 128), 100_000, stream=stream)
+        growth_profile((64, 128), stream=stream)
         assert stream._length == before
 
 

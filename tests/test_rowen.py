@@ -128,13 +128,19 @@ def test_band_matrix_pow_matches_dense():
 
 
 def test_band_matrix_overflow_guard():
-    # an entry of a product is a single product, so one diagonal of 2^31
-    # squares exactly to 2^62, below 2^63, and one of 2^32 is refused
-    single = BandMatrix(4, 1, [2**31] * 3)
-    assert (single * single).diags[2].tolist() == [2**62] * 2
     big = BandMatrix(3, 0, [2**32, 1, 1])
     with pytest.raises(OverflowError):
         big * big
+
+
+def test_band_matrix_product_bound_counts_the_diagonals():
+    # one diagonal times one diagonal: each entry of the product is a single
+    # product, so the bound is max|a| * max|b| with no count of diagonal pairs
+    single = BandMatrix(4, 1, [2**31] * 3)
+    assert (single * single).diags[2].tolist() == [2**62] * 2
+    wider = BandMatrix(4, 1, [2**32, 1, 1])
+    with pytest.raises(OverflowError):
+        single * wider  # 2^31 * 2^32 reaches 2^63
 
 
 def test_band_matrix_sum_bound_and_diagonals():

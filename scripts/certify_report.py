@@ -18,7 +18,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--horizons", default="10000,100000")
     args = parser.parse_args()
-    horizons = tuple(int(h) for h in args.horizons.split(","))
+    # checked before the first report, so a bad value prints no half report
+    horizons = grading.check_horizons(args.horizons.split(","))
 
     for path in sorted(MORPHISMS.glob("*.morph")):
         morphism, weights = words.load_morphism_file(path)

@@ -291,6 +291,17 @@ class ScanReport:
         return rec
 
 
+def check_horizons(horizons) -> tuple[int, ...]:
+    """The scan horizons as a tuple of ints; raises ValueError unless they are
+    nonempty, nonnegative and increasing."""
+    horizons = tuple(int(h) for h in horizons)
+    if not horizons or list(horizons) != sorted(horizons):
+        raise ValueError("horizons must be increasing and nonempty")
+    if horizons[0] < 0:
+        raise ValueError("horizons must be nonnegative")
+    return horizons
+
+
 def graded_nilpotence_scan(stream: PrefixStream, weights, d_max: int, horizons) -> ScanReport:
     """Longest-AP lengths per difference and horizon; a difference is flagged when
     its AP length grows with the horizon (empirical failure of graded nilpotence
@@ -298,11 +309,7 @@ def graded_nilpotence_scan(stream: PrefixStream, weights, d_max: int, horizons) 
     ``is_ap_supremum`` keeps that length at every horizon.  The larger
     horizons' prefix and sums are built only when some difference does not
     pass, or the stream has no covering words."""
-    horizons = tuple(int(h) for h in horizons)
-    if not horizons or list(horizons) != sorted(horizons):
-        raise ValueError("horizons must be increasing and nonempty")
-    if horizons[0] < 0:
-        raise ValueError("horizons must be nonnegative")
+    horizons = check_horizons(horizons)
     if d_max < 1:
         raise ValueError("d_max must be positive")
     # the covering words settle a degree for good, so the smallest horizon is

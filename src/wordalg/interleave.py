@@ -40,17 +40,24 @@ from .words import PIECE_SIZE, Alphabet, Morphism, MorphicStream, PrefixStream, 
 ENUMERATION_ORDER = "sum-length-lex"
 
 
-def _block_differences(total: int) -> np.ndarray:
-    """The compositions of ``total`` in (length, lex) order, parts concatenated.
+def _block_ends(total: int) -> np.ndarray:
+    """The compositions of ``total`` in (length, lex) order, written one after
+    the other as rows of ``total`` units: the position of the last unit of
+    every part, ascending.
 
     A composition is the bitmask of its cut points, the top bit standing for
-    cut point 1; within one length, lex order is descending mask order.
+    cut point 1; within one length, lex order is descending mask order.  A
+    unit ends a part where the next unit starts one (a cut point) and at the
+    end of its row, so the mask shifted left by one with its low bit set marks
+    every part end, and its bits, top first, are the row.
     """
     masks = np.arange(2 ** (total - 1) - 1, -1, -1, dtype=np.uint32)
-    cuts = ((masks[:, None] >> np.arange(total - 2, -1, -1, dtype=np.uint32)) & 1).astype(bool)
-    starts = np.ones((masks.size, total), dtype=bool)
-    starts[:, 1:] = cuts[np.argsort(cuts.sum(axis=1), kind="stable")]
-    return np.diff(np.flatnonzero(starts), append=starts.size)
+    masks = masks[np.argsort(np.bitwise_count(masks), kind="stable")]
+    masks <<= 1
+    masks |= 1
+    masks <<= 32 - total  # the row's first unit is bit 31
+    rows = np.unpackbits(masks.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1, count=total)
+    return np.flatnonzero(rows.view(bool))
 
 
 class UniversalSequence:
@@ -58,7 +65,9 @@ class UniversalSequence:
     the concatenation of every finite positive-integer sequence, enumerated by
     (sum, length, lex).  Reproducible bit for bit.
 
-    Terms are built one sum-block (all compositions of one sum) at a time.
+    Terms are built one sum-block (all compositions of one sum) at a time:
+    the terms of a block are the ends of its parts, ``_block_ends`` offset by
+    the last term before it, so no block is stored as differences.
     """
 
     order_tag = ENUMERATION_ORDER
@@ -69,8 +78,9 @@ class UniversalSequence:
 
     def _pull(self):
         self._blocks += 1
-        diffs = _block_differences(self._blocks)
-        self._values.frombytes((np.cumsum(diffs) + self._values[-1]).tobytes())
+        ends = _block_ends(self._blocks)
+        ends += self._values[-1] + 1  # a part ending at unit u ends at term offset u + 1
+        self._values.frombytes(ends.view(np.uint8))
 
     def ensure_terms(self, count: int):
         """Materialize n_0 .. n_count."""

@@ -3,14 +3,17 @@
 Finite words are plain Python strings; every letter of an alphabet is a
 single character.  Prefix streams hold letter codes and decode them to text
 on demand.  ``encode`` and ``decode`` are the one place where letters become
-numbers (positions in a letter tuple) and back.  All matrix and
-counting arithmetic in this module is exact integer arithmetic (numpy is used
-only for letter codes, image tables and the packed window codes of
-``FactorIndex``).
+numbers (positions in a letter tuple) and back, each in one pass of a C
+codec: Latin-1 bytes translated through a 256-byte table (or a UTF-32 table
+lookup for letters past Latin-1) one way, the charmap codec the other.  All
+matrix and counting arithmetic in this module is exact integer arithmetic
+(numpy is used only for letter codes, image tables and the packed window
+codes of ``FactorIndex``).
 """
 
 from __future__ import annotations
 
+import codecs
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
 
@@ -37,6 +40,8 @@ class Alphabet:
         for c in self.letters:
             if len(c) != 1 or c.isspace():
                 raise ValueError(f"letters must be single symbols, got {c!r}")
+            if c == "\ufffe":  # ``decode`` reads it as "no letter"
+                raise ValueError("U+FFFE is a noncharacter, not a letter")
         if len(self.letters) > MAX_ALPHABET_SIZE:
             raise ValueError(f"alphabets larger than {MAX_ALPHABET_SIZE} letters are not supported")
 
@@ -295,9 +300,11 @@ class MorphicStream(PrefixStream):
     prefix and the fixed point would be finite.  A prefix of n letters builds
     little more than n.
 
-    f is applied to a piece by one gather from ``_images``, whose row c holds
-    the codes of f(letter c) padded with ``_NO_LETTER`` to the longest image;
-    dropping the pads leaves the images in order.
+    f is applied to a piece by one gather from ``_images``, which holds one
+    ``np.void`` item per letter: the codes of f(letter c), padded with
+    ``_NO_LETTER`` to the longest image.  Taking a piece's items and reading
+    them back as bytes lays the padded images side by side; dropping the pads
+    leaves the images in order.
     """
 
     def __init__(self, morphism: Morphism, start: str):
@@ -308,9 +315,11 @@ class MorphicStream(PrefixStream):
         self.start = start
         letters = morphism.alphabet.letters
         images = [morphism.images[c] for c in letters]
-        self._images = np.full((len(letters), max(map(len, images))), _NO_LETTER, dtype=np.uint8)
-        for row, image in zip(self._images, images):
+        width = max(map(len, images))
+        table = np.full((len(letters), width), _NO_LETTER, dtype=np.uint8)
+        for row, image in zip(table, images):
             row[: len(image)] = encode(image, letters)
+        self._images = table.view(np.dtype((np.void, width))).ravel()
         self._append(encode(morphism.images[start], letters))
         self._read = 1  # letters of the codes whose images the codes hold
 
@@ -318,7 +327,7 @@ class MorphicStream(PrefixStream):
         while True:
             piece = self._codes[self._read : self._length][:PIECE_SIZE]
             self._read += piece.size
-            image = self._images[piece].ravel()
+            image = self._images.take(piece).view(np.uint8)
             image = image[image != _NO_LETTER]
             if image.size:  # pieces of mortal letters have empty images
                 return image
@@ -342,34 +351,52 @@ class PeriodicStream(PrefixStream):
 
 
 def encode(text: str, letters) -> np.ndarray:
-    """The uint8 position of each character of ``text`` in ``letters``.
-    Raises ValueError on any character outside ``letters``."""
+    """The uint8 position of each character of ``text`` in ``letters``, as a
+    read-only array.  Raises ValueError naming the first character of
+    ``text`` outside ``letters``."""
     if not 1 <= len(letters) <= 255:
         raise ValueError("letter codes need between 1 and 255 letters")
-    largest = max(map(ord, letters))
-    try:
-        # one byte per character while every letter is Latin-1, four otherwise
-        raw = text.encode("latin-1") if largest < 256 else text.encode("utf-32-le")
-    except UnicodeEncodeError as exc:  # a character past Latin-1 is no letter
-        raise ValueError(f"{text[exc.start]!r} is not a letter of {tuple(letters)!r}") from None
-    points = np.frombuffer(raw, dtype=np.uint8 if largest < 256 else np.uint32)
-    # one spare slot past the largest letter: every foreign point lands on 255
-    table = np.full(largest + 2, 255, dtype=np.uint8)
-    table[[ord(c) for c in letters]] = np.arange(len(letters))
-    codes = table.take(points, mode="clip")
-    if codes.size and codes.max() == 255:
-        foreign = text[int(np.argmax(codes == 255))]
+    points = [ord(c) for c in letters]
+    if max(points) < 256:
+        # one byte per character: a 256-byte table sends each Latin-1 byte to
+        # its code, and every byte that is no letter to _NO_LETTER
+        table = bytearray([_NO_LETTER]) * 256
+        for code, point in enumerate(points):
+            table[point] = code
+        try:
+            codes = text.encode("latin-1").translate(table)
+        except UnicodeEncodeError as exc:  # a character past Latin-1 is no letter
+            codes = text[: exc.start].encode("latin-1").translate(table) + bytes([_NO_LETTER])
+        first = codes.find(_NO_LETTER)
+        if first >= 0:
+            raise ValueError(f"{text[first]!r} is not a letter of {tuple(letters)!r}")
+        return np.frombuffer(codes, dtype=np.uint8)
+    # four bytes per character; one spare slot past the largest letter, so
+    # every foreign point lands on _NO_LETTER
+    table = np.full(max(points) + 2, _NO_LETTER, dtype=np.uint8)
+    table[points] = np.arange(len(letters))
+    codes = table.take(np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32), mode="clip")
+    if codes.size and codes.max() == _NO_LETTER:
+        foreign = text[int(np.argmax(codes == _NO_LETTER))]
         raise ValueError(f"{foreign!r} is not a letter of {tuple(letters)!r}")
+    codes.flags.writeable = False
     return codes
 
 
 def decode(codes: np.ndarray, letters) -> str:
-    """The text whose characters are ``letters[c]`` for each position c in ``codes``."""
-    points = [ord(c) for c in letters]
-    # one byte per letter while every letter is Latin-1, four otherwise
-    if max(points) < 256:
-        return str(np.array(points, dtype=np.uint8)[codes].data, "latin-1")
-    return str(np.array(points, dtype=np.uint32)[codes].data, "utf-32-le")
+    """The text whose characters are ``letters[c]`` for each uint8 code c in
+    ``codes``, in one pass of the charmap codec.  Raises ValueError on a code
+    with no letter.
+
+    The decoding table is padded to 256 characters with U+FFFE, which the
+    codec reads as "no character" (so it can be no letter); a table of that
+    length takes the codec's fast path.
+    """
+    codes = np.ascontiguousarray(codes)
+    if codes.dtype != np.uint8:
+        raise TypeError(f"letter codes are uint8, got {codes.dtype}")
+    table = "".join(letters).ljust(256, "\ufffe")
+    return codecs.charmap_decode(codes, "strict", table)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,7 @@ def test_script_usage_error_is_one_line(argv):
                           capture_output=True, text=True, env=_cli_env(), timeout=120)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""  # the error comes before any part of a report
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 

@@ -14,7 +14,7 @@ from wordalg.interleave import (
     InterleaveSpec,
     InterleaveStream,
     UniversalSequence,
-    _block_differences,
+    _block_ends,
     base_morphism,
     construction_pipeline,
     locate_pattern,
@@ -54,10 +54,34 @@ def test_oracle_composition_order_is_lex():
     assert comps == by_key
 
 
-@pytest.mark.parametrize("total", range(1, 13))
+@pytest.mark.parametrize("total", range(1, 15))
 def test_block_differences_match_oracle(total):
+    # the part lengths of the block, read off the position of each part's last unit
     block = [d for comp in _oracle_compositions(total) if sum(comp) == total for d in comp]
-    assert _block_differences(total).tolist() == block
+    assert np.diff(_block_ends(total), prepend=-1).tolist() == block
+
+
+def _shift_matrix_block_differences(total):
+    """The sum-block of ``total`` as part lengths, from a shift matrix of
+    every cut bit, sorted by popcount."""
+    masks = np.arange(2 ** (total - 1) - 1, -1, -1, dtype=np.uint32)
+    cuts = ((masks[:, None] >> np.arange(total - 2, -1, -1, dtype=np.uint32)) & 1).astype(bool)
+    starts = np.ones((masks.size, total), dtype=bool)
+    starts[:, 1:] = cuts[np.argsort(cuts.sum(axis=1), kind="stable")]
+    return np.diff(np.flatnonzero(starts), append=starts.size)
+
+
+def test_universal_sequence_matches_the_difference_construction():
+    # the terms as the running sums of the sum-blocks' part lengths, for 2^20 terms
+    count = 2**20
+    diffs, total = [], 0
+    while sum(d.size for d in diffs) < count:
+        total += 1
+        diffs.append(_shift_matrix_block_differences(total))
+    oracle = np.concatenate([[0], np.cumsum(np.concatenate(diffs))])[: count + 1]
+    seq = UniversalSequence()
+    seq.ensure_terms(count)
+    assert np.array_equal(np.array(seq._values[: count + 1]), oracle)
 
 
 # -- universal sequence ------------------------------------------------------------

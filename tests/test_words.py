@@ -59,6 +59,8 @@ def test_alphabet_rejects_duplicates_and_long_symbols():
         Alphabet(("xy",))
     with pytest.raises(ValueError):
         Alphabet(tuple("abcdefghijk"))  # 11 letters
+    with pytest.raises(ValueError, match="noncharacter"):
+        Alphabet(("x", "\ufffe"))  # decode reads it as no letter
 
 
 def test_morphism_requires_total_images():
@@ -408,7 +410,7 @@ def _naive_factors(text, k):
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_factor_index_matches_naive_slice_sets(data):
-    letters = data.draw(st.sampled_from(["x", "xy", "xy\u2192Y", "0123456789"]))
+    letters = data.draw(st.sampled_from(["x", "xy", "xy\u2192Y", "x\U0001f600", "0123456789"]))
     # one text, or several whose windows never cross from one into the next
     texts = data.draw(st.lists(st.text(alphabet=letters, max_size=150), min_size=1, max_size=3))
     index = FactorIndex(texts[0] if len(texts) == 1 else texts, letters)
@@ -446,7 +448,7 @@ def test_factor_index_rejects_foreign_letters():
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_encode_decode_round_trip(data):
-    letters = data.draw(st.sampled_from(["x", "yx", "xyXY", "x\xe9\xff", "xy\u2192Y", "0123456789"]))
+    letters = data.draw(st.sampled_from(["x", "yx", "xyXY", "x\xe9\xff", "xy\u2192Y", "x\U0001f600", "0123456789"]))
     text = data.draw(st.text(alphabet=letters, max_size=100))
     codes = encode(text, letters)
     assert codes.dtype == np.uint8
@@ -458,6 +460,40 @@ def test_encode_decode_round_trip(data):
 def test_encode_rejects_foreign_letters(text):
     with pytest.raises(ValueError):
         encode(text, "xy")
+
+
+@pytest.mark.parametrize("text, foreign", [
+    ("x\xe9", "\xe9"),
+    ("x\xff", "\xff"),  # byte 255 is the table's mark for "no letter"
+    ("x\u2192", "\u2192"),
+    ("yz\u2192", "z"),  # a foreign Latin-1 character before one past Latin-1
+])
+def test_encode_names_the_first_foreign_character(text, foreign):
+    with pytest.raises(ValueError, match=f"^{foreign!r} is not a letter of"):
+        encode(text, "xy")
+
+
+@pytest.mark.parametrize("letters", ["xy\xff", "x\u2192"])
+def test_encode_returns_read_only_codes(letters):
+    codes = encode(letters * 3, letters)
+    assert codes.tolist() == list(range(len(letters))) * 3
+    assert not codes.flags.writeable
+
+
+def test_decode_reads_strided_and_read_only_views():
+    stream = MorphicStream(make_morphism("xy", x="xy", y="yyx"), "x")
+    codes = stream.codes(0, 1_000)
+    assert not codes.flags.writeable
+    assert decode(codes, "xy") == stream.prefix(1_000)
+    assert decode(codes[::3], "xy") == stream.prefix(1_000)[::3]
+    assert decode(codes[::-1], "\u03b1\u03b2") == stream.prefix(1_000)[::-1].translate({120: 945, 121: 946})
+
+
+def test_decode_rejects_codes_without_a_letter():
+    with pytest.raises(ValueError):
+        decode(np.array([0, 2], dtype=np.uint8), "xy")
+    with pytest.raises(TypeError, match="uint8"):
+        decode(np.array([0, 1]), "xy")
 
 
 def test_encode_needs_between_1_and_255_letters():

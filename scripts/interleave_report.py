@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the interleaved-word construction end to end and print the report.
 
-Usage: python scripts/interleave_report.py [--horizon 1000000] [--Lfree 5]
+Usage: python scripts/interleave_report.py [--horizon 1000000] [--Lfree 5] [--dmax 6]
 """
 
 import argparse

@@ -229,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--weights", help="comma-separated positive letter weights")
 
     p = sub.add_parser("analyze", help="morphism report: mortality, prolongability, primitivity, matrix, det")
-    add_spec(p, weights=False)
+    p.add_argument("--spec", help="morphism spec file")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("certify", help="graded-nilpotence certificate for a weighted morphic word")

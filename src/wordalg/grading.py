@@ -14,8 +14,8 @@ the stream's covering words (``words.covering_words``) show no longer AP, m is
 that supremum, so the scan reports m at every horizon without reading the
 longer prefixes for that degree.  The scan builds the smallest horizon's
 prefix and sums first, and the largest horizon's only when some degree is left
-open; a stream without covering words (the interleaved word) builds the
-largest horizon's at once.
+open; a stream without covering words (the fixed point of a morphism that is
+not primitive) builds the largest horizon's at once.
 """
 
 from __future__ import annotations
@@ -276,9 +276,6 @@ class ScanReport:
     horizons: tuple[int, ...]
     table: dict[int, tuple[int, ...]] = field(repr=False)
     flagged: tuple[int, ...]
-    # the sums of the longest prefix the scan read: the largest horizon's, or
-    # the smallest's when every degree settled there
-    sums: WeightSumSet = field(repr=False, compare=False)
 
     def to_record(self) -> dict[str, str]:
         rec = {
@@ -308,7 +305,7 @@ def graded_nilpotence_scan(stream: PrefixStream, weights, d_max: int, horizons) 
     in that degree).  A difference whose length at the smallest horizon passes
     ``is_ap_supremum`` keeps that length at every horizon.  The larger
     horizons' prefix and sums are built only when some difference does not
-    pass, or the stream has no covering words."""
+    pass, or the stream has no covering words (``words.has_covering_words``)."""
     horizons = check_horizons(horizons)
     if d_max < 1:
         raise ValueError("d_max must be positive")
@@ -342,4 +339,4 @@ def graded_nilpotence_scan(stream: PrefixStream, weights, d_max: int, horizons) 
         table[d] = lengths
         if lengths[-1] > GROWTH_RATIO * lengths[0] and lengths[-1] > GROWTH_FLOOR:
             flagged.append(d)
-    return ScanReport(tuple(weights), horizons, table, tuple(flagged), sums)
+    return ScanReport(tuple(weights), horizons, table, tuple(flagged))

@@ -71,6 +71,11 @@ def test_analyze_command(sub_xy_file, capsys):
     assert rec["primitive"] == "true"
 
 
+def test_analyze_command_takes_no_start_letter(sub_xy_file):
+    # the report covers every letter, so a start letter is a usage error
+    assert run(["analyze", "--spec", sub_xy_file, "--start", "x"]) == 2
+
+
 def test_analyze_command_swap_is_not_primitive(tmp_path, capsys):
     spec = tmp_path / "swap.morph"
     spec.write_text("x y\nx -> y\ny -> x\n")

@@ -275,7 +275,6 @@ def test_scan_reads_each_horizon_as_a_head_of_one_build(tm_morphism, weights, ho
     for d in range(1, 6):
         separate = tuple(longest_ap(weight_sum_prefix(stream, weights, h), d) for h in horizons)
         assert report.table[d] == separate
-    assert np.array_equal(report.sums.sums, weight_sum_prefix(stream, weights, horizons[-1]).sums)
 
 
 @st.composite
@@ -319,10 +318,8 @@ def test_scan_builds_only_the_horizons_it_reads(name):
     report = graded_nilpotence_scan(stream, weights, 12, horizons)
     if name == "sub_xyz.morph":
         assert stream._length < horizons[-1] // 10
-        assert report.sums.sums.size == horizons[0] + 1
     else:
         assert stream._length >= horizons[-1]
-        assert report.sums.sums.size == horizons[-1] + 1
     fresh, _ = _bundled_stream(name)
     for d in range(1, 13):
         assert report.table[d] == tuple(longest_ap(weight_sum_prefix(fresh, weights, h), d) for h in horizons)

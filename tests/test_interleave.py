@@ -317,7 +317,6 @@ def test_pipeline_small_horizon():
         report = construction_pipeline(horizon=20_000, free_pattern_length=3, d_max=4)
     assert report.certificate.certified
     assert report.scan.flagged == ()
-    assert report.scan.sums.sums.size == 20_000 + 1
     assert report.sum_sets_equal
     assert report.freeness.independent
     assert report.freeness.patterns_tested == 2 + 4 + 8
@@ -329,7 +328,7 @@ def test_pipeline_small_horizon():
 
 
 def test_pipeline_builds_each_sum_set_and_the_images_once(monkeypatch):
-    calls = {"weight_sum_prefix": [], "pattern_images": []}
+    calls = {"weight_sum_prefix": [], "pattern_images": [], "linear_independence": []}
     for module in (grading, interleave, monalg):
         for name, log in calls.items():
             if hasattr(module, name):
@@ -343,19 +342,37 @@ def test_pipeline_builds_each_sum_set_and_the_images_once(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", HorizonWarning)
         report = construction_pipeline(horizon=20_000, free_pattern_length=3, d_max=4)
-    # the interleaved word's sums once (inside the scan), the base word's once
-    assert [type(args[0]) for args in calls["weight_sum_prefix"]] == [InterleaveStream, MorphicStream]
+    # the base word's sums only (inside the scan), and one elimination
+    assert [type(args[0]) for args in calls["weight_sum_prefix"]] == [MorphicStream]
     assert len(calls["pattern_images"]) == 1
+    assert len(calls["linear_independence"]) == 1
     assert report.rank_with_identity == 15
 
 
-def test_pipeline_refuses_scan_sums_short_of_the_horizon(monkeypatch):
-    # sums of fewer letters than the base word's would compare unequal silently
-    scan = interleave.graded_nilpotence_scan
-    monkeypatch.setattr(interleave, "graded_nilpotence_scan",
-                        lambda stream, weights, d_max, horizons: scan(stream, weights, d_max, horizons[:1]))
-    with pytest.raises(RuntimeError, match="fewer than the horizon"):
-        construction_pipeline(horizon=1000, free_pattern_length=2, d_max=2)
+@pytest.mark.parametrize("horizon, d_max", [(100, 24), (999, 24), (20_000, 6)])
+def test_pipeline_scan_is_the_interleaved_word_scan(horizon, d_max):
+    # the oracle scans the interleaved word itself; at 100 and 999 some
+    # degrees stay open on the base word and read every horizon, at 20,000
+    # every degree settles at the smallest one
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HorizonWarning)
+        report = construction_pipeline(horizon=horizon, free_pattern_length=2, d_max=d_max)
+    oracle = grading.graded_nilpotence_scan(interleave.tilde_stream(), (1, 2, 1, 2), d_max, report.scan.horizons)
+    assert report.scan.horizons == (max(horizon // 10, 10), horizon)
+    assert report.scan.weights == oracle.weights
+    assert report.scan.table == oracle.table
+    assert report.scan.flagged == oracle.flagged
+
+
+@pytest.mark.parametrize("free_pattern_length", [1, 2, 3, 4, 5])
+def test_pipeline_rank_with_identity_is_the_rank_of_the_identity_and_the_images(free_pattern_length):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HorizonWarning)
+        report = construction_pipeline(horizon=2000, free_pattern_length=free_pattern_length, d_max=2)
+    images = report.freeness.images
+    view = images[0].view
+    oracle = monalg.linear_independence([monalg.NcPolynomial.one(view), *images])
+    assert report.rank_with_identity == oracle.rank
 
 
 def test_pipeline_rejects_tiny_horizon():

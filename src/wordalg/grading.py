@@ -6,7 +6,8 @@ that the weights are not all equal, that the incidence matrix has determinant
 +-1, and that the weight sequence of the iterated decomposition prefix has
 greatest common divisor one.  The empirical counterpart is the AP scan: an
 arithmetic progression of difference D in the weight-sum set that keeps growing
-with the horizon witnesses a nonvanishing product of degree-D monomials.
+with the horizon witnesses a nonvanishing product of degree-D monomials;
+``longest_ap`` finds the longest by shift-and doubling on the set held as one int.
 
 The longest AP of difference D at the smallest horizon, m, never exceeds the
 supremum over the whole infinite word, the nilpotency index in degree D.  When
@@ -64,11 +65,11 @@ class WeightSumSet:
     sums: np.ndarray  # strictly increasing int64, sums[0] == 0
 
     @cached_property
-    def absent(self) -> np.ndarray:
-        """absent[v] is True iff v is not a weight sum (v = 0..max_value)."""
-        mask = np.ones(self.max_value + 1, dtype=bool)
-        mask[self.sums] = False
-        return mask
+    def bits(self) -> int:
+        """The set as one int: bit v is set iff v is a weight sum (bit 0 always is)."""
+        mask = np.zeros(self.max_value + 1, dtype=bool)
+        mask[self.sums] = True
+        return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
     @property
     def max_value(self) -> int:
@@ -112,23 +113,22 @@ def is_ap_supremum(covers: list[WeightSumSet], difference: int, m: int) -> bool:
 
 
 def longest_ap(sumset: WeightSumSet, difference: int) -> int:
-    """Largest L such that t, t+D, ..., t+(L-1)D all lie in the set, exactly:
-    the longest run in any residue class r mod D (residues past the largest
-    sum have none).  A class's runs lie between its consecutive absent
-    values, before the first of them or after the last."""
+    """Largest L such that t, t+D, ..., t+(L-1)D all lie in the set, exactly.
+    Shift-and doubling on ``sumset.bits``: bit t of starts[i] is set iff an AP
+    of 2**i terms starts at t, so starts[i+1] = starts[i] & (starts[i] >> 2**i*D).
+    Lifting from the top level, an AP of L terms at t takes 2**i more iff bit
+    t + L*D of starts[i] is set: O(log L) passes over max_value / 8 bytes."""
     if difference < 1:
         raise ValueError("difference must be positive")
-    absent = sumset.absent
-    best = 0
-    for r in range(min(difference, absent.size)):
-        cells = absent[r::difference]
-        gaps = np.flatnonzero(cells)
-        if gaps.size == 0:
-            best = max(best, cells.size)
-            continue
-        inner = int(np.diff(gaps).max(initial=1)) - 1
-        best = max(best, int(gaps[0]), cells.size - 1 - int(gaps[-1]), inner)
-    return best
+    starts = [sumset.bits]
+    while starts[-1]:
+        starts.append(starts[-1] & (starts[-1] >> (difference << (len(starts) - 1))))
+    top = len(starts) - 2  # starts[top + 1] == 0, so 2**top <= L < 2**(top + 1)
+    cur, length = starts[top], 1 << top
+    for i in reversed(range(top)):
+        if cand := cur & (starts[i] >> (length * difference)):
+            cur, length = cand, length + (1 << i)
+    return length
 
 
 def is_rotation_primitive(gaps) -> bool:

@@ -102,6 +102,63 @@ def test_longest_ap_matches_brute_force(values, d):
     assert longest_ap(_sumset_from_values(values), d) == _brute_longest_ap(values, d)
 
 
+def _residue_class_longest_ap(sumset, d):
+    """The longest run of members in any residue class r mod D, read class by
+    class over a one-byte mask: an oracle for ``longest_ap`` that shares no code with it."""
+    absent = np.ones(sumset.max_value + 1, dtype=bool)
+    absent[sumset.sums] = False
+    best = 0
+    for r in range(min(d, absent.size)):
+        cells = absent[r::d]
+        gaps = np.flatnonzero(cells)
+        if gaps.size == 0:
+            best = max(best, cells.size)
+            continue
+        inner = int(np.diff(gaps).max(initial=1)) - 1
+        best = max(best, int(gaps[0]), cells.size - 1 - int(gaps[-1]), inner)
+    return best
+
+
+@given(
+    values=st.sets(st.integers(0, 2000), min_size=1, max_size=600),
+    d=st.integers(1, 2100),
+)
+@example(values={0}, d=1)  # a singleton: 1
+@example(values={0, 5}, d=9)  # a difference above max_value: 1
+@example(values=set(range(0, 301, 3)) | {1, 2}, d=3)  # one class of 101 terms
+@settings(max_examples=300, deadline=None)
+def test_longest_ap_matches_the_residue_class_loop(values, d):
+    sumset = _sumset_from_values(values | {0})
+    assert longest_ap(sumset, d) == _residue_class_longest_ap(sumset, d)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_longest_ap_of_an_interval_lands_on_each_side_of_a_power_of_two(k, d):
+    # weights 1 give the full interval 0..n, whose longest AP has n // d + 1 terms
+    for length in (2**k - 1, 2**k, 2**k + 1):
+        for n in ((length - 1) * d, length * d - 1):
+            sumset = weight_sum_prefix(PeriodicStream("x"), (1,), n)
+            assert longest_ap(sumset, d) == _residue_class_longest_ap(sumset, d) == length
+
+
+@given(values=st.sets(st.integers(0, 3000), max_size=400))
+@settings(max_examples=100, deadline=None)
+def test_bits_holds_exactly_the_weight_sums(values):
+    sumset = _sumset_from_values(values | {0})
+    members = {v for v in range(sumset.max_value + 1) if sumset.bits >> v & 1}
+    assert members == set(sumset.sums.tolist())
+    assert sumset.bits.bit_length() == sumset.max_value + 1
+
+
+@pytest.mark.parametrize("name", ["thue_morse.morph", "sub_xyz.morph"])
+def test_longest_ap_matches_the_residue_class_loop_on_bundled_heads(name):
+    stream, weights = _bundled_stream(name)
+    sumset = weight_sum_prefix(stream, weights, 100_000)
+    for d in range(1, 49):
+        assert longest_ap(sumset, d) == _residue_class_longest_ap(sumset, d)
+
+
 def test_longest_ap_grows_for_thue_morse_blocks(tm_morphism):
     # blocks xy / yx both have weight 3, so multiples of 3 pile up
     stream = MorphicStream(tm_morphism, "x")

@@ -3,8 +3,8 @@
 Every subcommand prints a flat, deterministic text record ("key: value" lines)
 on standard output.  Exit codes: 0 for a positive verdict, 1 for a negative
 verdict, 2 for usage errors or malformed inputs, 3 for an inconclusive run (the
-nilpotency prefix cap, a decomposition horizon, an int64 bound or a memory
-bound was reached before a verdict).
+nilpotency prefix cap, an int64 bound or a memory bound was reached before a
+verdict).
 """
 
 from __future__ import annotations
@@ -92,9 +92,7 @@ def _cmd_certify(args) -> tuple[int, str]:
     if weights is None:
         raise ValueError("weights required (either in the spec file or via --weights)")
     start = _pick_start(morphism, args.start)
-    cert = grading.certify_graded_nilpotence(
-        morphism, start, weights, gcd_terms=args.jmax, horizon=args.horizon, u=args.u
-    )
+    cert = grading.certify_graded_nilpotence(morphism, start, weights, u=args.u)
     return (0 if cert.certified else 1), emit_report(cert.to_record())
 
 
@@ -235,8 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="graded-nilpotence certificate for a weighted morphic word")
     add_spec(p)
     p.add_argument("--u", help="explicit decomposition prefix (defaults to the shortest one found)")
-    p.add_argument("--jmax", type=_nonnegative, default=grading.DEFAULT_GCD_TERMS, help="gcd sequence length cap")
-    p.add_argument("--horizon", type=_nonnegative, default=grading.DEFAULT_DECOMPOSITION_HORIZON)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("scan", help="longest-AP table of the weight-sum set per difference and horizon")
@@ -301,12 +297,7 @@ def report_errors(fn, *args) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        rowen.IndexExceedsTruncationError,
-        grading.DecompositionNotFoundError,
-        OverflowError,
-        MemoryError,
-    ) as exc:
+    except (rowen.IndexExceedsTruncationError, OverflowError, MemoryError) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
 

@@ -4,10 +4,16 @@ certifier for monomial algebras of morphic words.
 The certificate checks, for a primitive morphism prolongable on a start letter,
 that the weights are not all equal, that the incidence matrix has determinant
 +-1, and that the weight sequence of the iterated decomposition prefix has
-greatest common divisor one.  The empirical counterpart is the AP scan: an
-arithmetic progression of difference D in the weight-sum set that keeps growing
-with the horizon witnesses a nonvanishing product of degree-D monomials;
-``longest_ap`` finds the longest by shift-and doubling on the set held as one int.
+greatest common divisor one.  Both of its searches stop by a bound the
+morphism gives, not by a cap: for a primitive f on |A| letters every letter
+occurs in f^k(c), k = (|A|-1)^2 + 1 (Wielandt), so the start letter reoccurs in
+the fixed point; and by Cayley-Hamilton every term of the weight sequence is an
+integer combination of the first |A|, so their gcd is the gcd of them all.
+
+The empirical counterpart is the AP scan: an arithmetic progression of
+difference D in the weight-sum set that keeps growing with the horizon
+witnesses a nonvanishing product of degree-D monomials; ``longest_ap`` finds
+the longest by shift-and doubling on the set held as one int.
 
 The longest AP of difference D at the smallest horizon, m, never exceeds the
 supremum over the whole infinite word, the nilpotency index in degree D.  When
@@ -44,17 +50,10 @@ from .words import (
     parikh,
 )
 
-DEFAULT_GCD_TERMS = 32
-DEFAULT_DECOMPOSITION_HORIZON = 10_000
-
 # AP growth flags: grew by more than this factor between the smallest and the
 # largest horizon, and is large in absolute terms.
 GROWTH_RATIO = 1.5
 GROWTH_FLOOR = 20
-
-
-class DecompositionNotFoundError(RuntimeError):
-    """The start letter does not reoccur within the search horizon (inconclusive)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,14 +197,7 @@ class Certificate:
         }
 
 
-def certify_graded_nilpotence(
-    m: Morphism,
-    start: str,
-    weights,
-    gcd_terms: int = DEFAULT_GCD_TERMS,
-    horizon: int = DEFAULT_DECOMPOSITION_HORIZON,
-    u: str | None = None,
-) -> Certificate:
+def certify_graded_nilpotence(m: Morphism, start: str, weights, u: str | None = None) -> Certificate:
     """Certify that the positive part of the word's monomial algebra is graded
     nilpotent under the given letter weights.
 
@@ -213,6 +205,12 @@ def certify_graded_nilpotence(
     condition.  An explicit decomposition prefix ``u`` is used as given (so that
     published computations can be reproduced); by default u is the shortest
     nonempty prefix of the fixed point that is followed by the start letter.
+
+    Neither search needs a cap.  The start letter of a primitive f reoccurs
+    within f^k(w_0 w_1), k = (|A|-1)^2 + 1, so doubling the prefix finds u.
+    The terms w . M^j . p(u) with j >= |A| are integer combinations of the
+    first |A| (Cayley-Hamilton), so a running gcd above 1 after |A| terms is
+    the gcd of the whole sequence: NOT_APPLICABLE with reason gcd=<g>.
     """
     weights = check_weights(m.alphabet, weights)
     if not is_prolongable(m, start):
@@ -235,13 +233,10 @@ def certify_graded_nilpotence(
 
     stream = MorphicStream(m, start)
     if u is None:
-        prefix = stream.prefix(horizon)
-        pos = prefix.find(start, 1)
-        if pos == -1:
-            raise DecompositionNotFoundError(
-                f"start letter does not reoccur within horizon {horizon}"
-            )
-        u = prefix[:pos]
+        n = 2
+        while (pos := stream.prefix(n).find(start, 1)) == -1:
+            n *= 2
+        u = stream.prefix(pos)
         u_source = "auto"
         u_match = True
     else:
@@ -253,12 +248,12 @@ def certify_graded_nilpotence(
         u_match = probe == u + start
 
     gseq = []
-    for _, term in zip(range(gcd_terms + 1), weight_iterates(m, weights, u)):
+    for _, term in zip(range(m.alphabet.size), weight_iterates(m, weights, u)):
         gseq.append(term)
         if math.gcd(*gseq) == 1:
             break
     else:
-        return fail("gcd-undecided", u, u_source, u_match, gseq, None)
+        return fail(f"gcd={math.gcd(*gseq)}", u, u_source, u_match, gseq, None)
 
     return Certificate(
         CERTIFIED, "", start, weights, report.det, report.primitive,

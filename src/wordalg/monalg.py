@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .words import FactorIndex, PrefixStream, is_cube_free
+from .words import FactorIndex, PrefixStream, check_letters, is_cube_free
 
 
 class HorizonWarning(UserWarning):
@@ -82,7 +82,7 @@ class CubeIdealView(AlgebraView):
     a monomial is zero iff it contains a cube."""
 
     def __init__(self, letters):
-        self.letters = tuple(letters)
+        self.letters = check_letters(letters)
 
     def is_zero_monomial(self, word: str) -> bool:
         return not is_cube_free(word).is_cube_free
@@ -92,7 +92,7 @@ class FreeView(AlgebraView):
     """No monomial is zero (the free algebra)."""
 
     def __init__(self, letters):
-        self.letters = tuple(letters)
+        self.letters = check_letters(letters)
 
     def is_zero_monomial(self, word: str) -> bool:
         return False

@@ -26,6 +26,18 @@ class NotProlongableError(ValueError):
     """The morphism does not extend the requested letter to an infinite word."""
 
 
+def check_letters(letters) -> tuple[str, ...]:
+    """The letters as a tuple; raises ValueError when one repeats or is not a
+    single character other than whitespace."""
+    letters = tuple(letters)
+    if len(set(letters)) != len(letters):
+        raise ValueError(f"duplicate letters in {letters!r}")
+    for c in letters:
+        if len(c) != 1 or c.isspace():
+            raise ValueError(f"letters must be single symbols, got {c!r}")
+    return letters
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered finite set of single-character letters."""
@@ -35,13 +47,9 @@ class Alphabet:
     def __post_init__(self):
         if not self.letters:
             raise ValueError("alphabet must be nonempty")
-        if len(set(self.letters)) != len(self.letters):
-            raise ValueError(f"duplicate letters in {self.letters!r}")
-        for c in self.letters:
-            if len(c) != 1 or c.isspace():
-                raise ValueError(f"letters must be single symbols, got {c!r}")
-            if c == "\ufffe":  # ``decode`` reads it as "no letter"
-                raise ValueError("U+FFFE is a noncharacter, not a letter")
+        check_letters(self.letters)
+        if "\ufffe" in self.letters:  # ``decode`` reads it as "no letter"
+            raise ValueError("U+FFFE is a noncharacter, not a letter")
         if len(self.letters) > MAX_ALPHABET_SIZE:
             raise ValueError(f"alphabets larger than {MAX_ALPHABET_SIZE} letters are not supported")
 
@@ -657,6 +665,8 @@ def parse_morphism_spec(text: str) -> tuple[Morphism, tuple[int, ...] | None]:
     weights = None
     for ln in lines[1:]:
         if ln.startswith("weights:"):
+            if weights is not None:
+                raise ValueError("duplicate weights line")
             parts = ln[len("weights:") :].replace(",", " ").split()
             weights = tuple(int(p) for p in parts)
             continue
@@ -667,6 +677,8 @@ def parse_morphism_spec(text: str) -> tuple[Morphism, tuple[int, ...] | None]:
         image = rhs.strip()
         if len(letter) != 1:
             raise ValueError(f"left side must be a single letter: {ln!r}")
+        if letter in images:
+            raise ValueError(f"duplicate image line for letter {letter!r}")
         images[letter] = "" if image == "_" else image
     morphism = Morphism(alphabet, images)
     if weights is not None:

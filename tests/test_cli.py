@@ -218,6 +218,20 @@ def _assert_never_escapes(argv):
     assert "Traceback" not in err.getvalue()
 
 
+@pytest.mark.parametrize("view, letters, message", [
+    ("cubes", "xx", "error: duplicate letters in ('x', 'x')\n"),
+    ("free", "x y", "error: letters must be single symbols, got ' '\n"),
+])
+def test_free_command_view_letters_are_checked(view, letters, message, capsys):
+    _assert_usage_error(["free", "--view", view, "--letters", letters, "--gens", "1*x"], message, capsys)
+
+
+def test_free_command_free_view_takes_more_letters_than_an_alphabet(capsys):
+    # the free and cube views index no letter codes, so they have no size cap
+    assert run(["free", "--view", "free", "--letters", "abcdefghijk", "--gens", "1*a;1*k", "--Lfree", "2"]) == 0
+    assert _record(capsys)[1]["freeness_verdict"] == "independent"
+
+
 def test_free_command_dependent(capsys):
     code = run([
         "free", "--view", "free", "--letters", "xy",
@@ -326,8 +340,8 @@ def test_rowen_command_nonzero_word_that_is_no_factor_exits_one(monkeypatch, cap
 @pytest.mark.parametrize("argv", [
     ["rowen", "--horizon", "-3"],
     ["rowen", "--margin", "-1"],
-    ["certify", "--spec", str(REPO_MORPHISMS / "sub_xy.morph"), "--horizon", "-1"],
-    ["certify", "--spec", str(REPO_MORPHISMS / "sub_xy.morph"), "--jmax", "-1"],
+    ["scan", "--spec", str(REPO_MORPHISMS / "sub_xy.morph"), "--horizons=-1"],
+    ["word", "--spec", str(REPO_MORPHISMS / "thue_morse.morph"), "--start", "y", "--length", "-5"],
     ["scan", "--spec", str(REPO_MORPHISMS / "thue_morse.morph"), "--dmax", "3", "--horizons=-5,10"],
     ["scan", "--spec", str(REPO_MORPHISMS / "thue_morse.morph"), "--horizons=-10,-5"],
     ["word", "--spec", str(REPO_MORPHISMS / "sub_xy.morph"), "--length", "-1"],
@@ -396,7 +410,6 @@ def _cli_env():
     ["operator_report.py", "--N", "50"],
     ["operator_report.py", "--maxlen", "0"],
     ["certify_report.py", "--horizons", "100,10"],
-    ["interleave_report.py", "--horizon", "50"],
 ])
 def test_script_usage_error_is_one_line(argv):
     # the scripts share the command's mapping of errors to exit codes
@@ -493,11 +506,10 @@ def test_word_command_fuzzed_argv_never_escapes(spec, start, length):
 @given(
     spec=fuzz_specs, start=fuzz_starts, weights=fuzz_weights,
     u=st.one_of(st.none(), st.none(), st.text(alphabet="xyzq", max_size=4)),
-    jmax=st.integers(-2, 8), horizon=st.integers(-2, 200),
 )
 @settings(max_examples=100, deadline=None)
-def test_certify_command_fuzzed_argv_never_escapes(spec, start, weights, u, jmax, horizon):
-    argv = [*_spec_argv("certify", spec, start), "--jmax", str(jmax), "--horizon", str(horizon)]
+def test_certify_command_fuzzed_argv_never_escapes(spec, start, weights, u):
+    argv = _spec_argv("certify", spec, start)
     if weights is not None:
         argv += ["--weights", weights]
     if u is not None:
@@ -566,15 +578,6 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _assert_inconclusive(argv, capsys):
-    # neither verdict, no traceback
-    assert run(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("inconclusive: ")
-    assert "Traceback" not in captured.err
-
-
 def test_rowen_nilpotency_prefix_cap_is_inconclusive(monkeypatch, capsys):
     monkeypatch.setattr(rowen, "NILPOTENCY_PREFIX_CAP", 16)
     assert run(["rowen", "--N", "512", "--maxlen", "1"]) == 3
@@ -593,10 +596,28 @@ def test_rowen_nilpotency_index_does_not_depend_on_the_truncation(capsys):
     _assert_usage_error(["rowen", "--N", "10", "--word", "aaa"], "need truncation > 67", capsys)
 
 
-def test_certify_decomposition_not_found_is_inconclusive(capsys):
-    # the start letter x does not reoccur within the first 2 letters xy
-    spec = str(REPO_MORPHISMS / "sub_xy.morph")
-    _assert_inconclusive(["certify", "--spec", spec, "--horizon", "2"], capsys)
+def test_certify_finds_a_late_reoccurrence_of_the_start_letter(tmp_path, capsys):
+    # the fixed point is x y^k y^(k+1) x ...: its second x comes after 2k + 2
+    # letters, and the prefix search doubles until it gets there
+    k = 5000
+    spec = tmp_path / "late.morph"
+    spec.write_text(f"x y\nx -> x{'y' * k}\ny -> {'y' * (k + 1)}x\nweights: 1 2\n")
+    assert run(["certify", "--spec", str(spec)]) == 0
+    rec = _record(capsys)[1]
+    assert rec["verdict"] == "CERTIFIED"
+    assert rec["u_source"] == "auto"
+    assert rec["u"] == "x" + "y" * (2 * k + 1)
+    assert rec["gcd_sequence"] == "20003,100050004"
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("x -> xy\nx -> yx\ny -> yyx\n", "error: duplicate image line for letter 'x'\n"),
+    ("x -> xy\ny -> yyx\nweights: 1 2\nweights: 2 1\n", "error: duplicate weights line\n"),
+], ids=["image", "weights"])
+def test_certify_spec_with_a_repeated_line_exits_two(lines, message, tmp_path, capsys):
+    spec = tmp_path / "repeated.morph"
+    spec.write_text("x y\n" + lines)
+    _assert_usage_error(["certify", "--spec", str(spec), "--weights", "1,2"], message, capsys)
 
 
 def test_bundled_morphism_files(capsys):

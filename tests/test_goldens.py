@@ -1,7 +1,7 @@
 """Byte-for-byte goldens: stdout and exit code of the documented commands.
 
 Every command of the README's "Command line" block runs in-process through
-``wordalg.cli.run``; the three ``scripts/`` run at their defaults in a child
+``wordalg.cli.run``; the two ``scripts/`` run at their defaults in a child
 interpreter.  A few factor-view commands and one scan the README lacks are pinned too.
 Each golden file under ``tests/goldens/`` holds the exit code on its first
 line (``# exit <code>``) and the exact stdout after it.
@@ -36,6 +36,7 @@ COMMANDS: dict[str, tuple[str, list[str]]] = {
     "word_sub_xy": ("cli", ["word", "--spec", "morphisms/sub_xy.morph", "--start", "x", "--length", "5"]),
     "certify_sub_xy_u": ("cli", ["certify", "--spec", "morphisms/sub_xy.morph", "--weights", "1,2", "--u", "xyy"]),
     "certify_thue_morse": ("cli", ["certify", "--spec", "morphisms/thue_morse.morph", "--weights", "1,2"]),
+    "certify_sub_xy_gcd2": ("cli", ["certify", "--spec", "morphisms/sub_xy.morph", "--weights", "2,4"]),
     "scan_thue_morse": ("cli", ["scan", "--spec", "morphisms/thue_morse.morph", "--dmax", "6", "--horizons", "1000,10000"]),
     "theorem32_1m": ("cli", ["theorem32", "--horizon", "1000000", "--Lfree", "5", "--dmax", "6"]),
     "free_cubes": ("cli", ["free", "--view", "cubes", "--letters", "xyzw", "--gens", "1*x + 1*y;1*z + 1*w", "--Lfree", "4"]),
@@ -62,7 +63,6 @@ COMMANDS: dict[str, tuple[str, list[str]]] = {
     "rowen_word_aaa": ("cli", ["rowen", "--N", "512", "--horizon", "10000", "--word", "aaa"]),
     # the scripts at their defaults
     "script_certify_report": ("script", ["certify_report.py"]),
-    "script_interleave_report": ("script", ["interleave_report.py"]),
     "script_operator_report": ("script", ["operator_report.py"]),
 }
 

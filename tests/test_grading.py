@@ -302,6 +302,36 @@ def test_certificate_record_fields(sub_xy):
     assert record["det"] == "1"
 
 
+@st.composite
+def primitive_prolongable(draw):
+    """A primitive morphism on 2-3 letters, prolongable on x, with weights 1-4."""
+    letters = "xyz"[: draw(st.integers(2, 3))]
+    images = {c: draw(st.text(alphabet=letters, min_size=1, max_size=6)) for c in letters}
+    images["x"] = "x" + draw(st.text(alphabet=letters, min_size=1, max_size=5))
+    m = make_morphism(letters, **images)
+    assume(is_primitive(m))
+    return m, tuple(draw(st.integers(1, 4)) for _ in letters)
+
+
+@given(drawn=primitive_prolongable())
+@settings(max_examples=200, deadline=None)
+def test_certify_bounds_hold_on_drawn_primitive_morphisms(drawn):
+    m, weights = drawn
+    n = m.alphabet.size
+    cert = certify_graded_nilpotence(m, "x", weights)
+    terms = list(itertools.islice(weight_iterates(m, weights, cert.u or m.images["x"]), 3 * n + 10))
+    # Cayley-Hamilton: every later term is an integer combination of the first n
+    assert math.gcd(*terms[:n]) == math.gcd(*terms)
+    if cert.u is None:  # decided before u: not applicable for det or weights
+        return
+    pos = MorphicStream(m, "x").prefix(10_000).find("x", 1)
+    if pos != -1:
+        assert cert.u == MorphicStream(m, "x").prefix(pos)
+    assert cert.gcd_sequence == tuple(terms[: len(cert.gcd_sequence)])
+    g = math.gcd(*terms)
+    assert (cert.verdict, cert.reason) == ((CERTIFIED, "") if g == 1 else (NOT_APPLICABLE, f"gcd={g}"))
+
+
 # -- the scan ---------------------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 import itertools
 import operator
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from wordalg.monalg import (
     parse_poly_literal,
     pattern_images,
 )
-from wordalg.words import SuffixAutomaton
+from wordalg.words import Alphabet, SuffixAutomaton
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +86,15 @@ def test_cube_view_and_free_view():
     assert cube.is_zero_monomial("zxxxw")
     free = FreeView("ab")
     assert not free.is_zero_monomial("a" * 50)
+
+
+@pytest.mark.parametrize("view", [CubeIdealView, FreeView])
+@pytest.mark.parametrize("letters", [("x", "x"), ("x", " "), ("xy",)])
+def test_views_check_letters_as_an_alphabet_does(view, letters):
+    with pytest.raises(ValueError) as expected:
+        Alphabet(letters)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        view(letters)
 
 
 def test_zero_monomials_form_an_ideal(xy_view, tm_view):

@@ -666,6 +666,16 @@ def test_parse_morphism_spec_empty_image_and_tolerance():
     assert weights is None
 
 
+@pytest.mark.parametrize("lines, message", [
+    ("x -> xy\nx -> yx\ny -> yyx\n", "duplicate image line for letter 'x'"),
+    ("x -> xy\ny -> yyx\nweights: 1 2\nweights: 2 1\n", "duplicate weights line"),
+], ids=["image", "weights"])
+def test_parse_morphism_spec_rejects_repeated_lines(lines, message):
+    # a repeated line would otherwise overwrite the first without notice
+    with pytest.raises(ValueError, match=message):
+        parse_morphism_spec("x y\n" + lines)
+
+
 def test_parse_morphism_spec_rejects_garbage():
     with pytest.raises(ValueError):
         parse_morphism_spec("")

@@ -102,7 +102,11 @@ def _cmd_scan(args) -> tuple[int, str]:
         raise ValueError("weights required (either in the spec file or via --weights)")
     start = _pick_start(morphism, args.start)
     stream = words.MorphicStream(morphism, start)
-    horizons = _parse_csv_ints(args.horizons)
+    horizons = grading.check_horizons(_parse_csv_ints(args.horizons))
+    if horizons[0] == horizons[-1]:
+        # a degree is flagged when its AP length grows from the smallest
+        # horizon to the largest, so one horizon can flag nothing
+        raise ValueError(f"--horizons needs at least two distinct horizons, got {args.horizons}")
     report = grading.graded_nilpotence_scan(stream, weights, args.dmax, horizons)
     return (1 if report.flagged else 0), emit_report(report.to_record())
 

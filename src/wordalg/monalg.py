@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -349,7 +349,6 @@ class FreenessReport:
     rank: int
     independent: bool
     dependency: tuple[Fraction, ...] | None
-    images: tuple[NcPolynomial, ...] = field(repr=False, compare=False)  # the rank's rows
 
     def to_record(self) -> dict[str, str]:
         return {
@@ -398,7 +397,6 @@ def freeness_check(view: AlgebraView, gens, max_len: int) -> FreenessReport:
         rank=result.rank,
         independent=result.independent,
         dependency=result.dependency,
-        images=tuple(images),
     )
 
 

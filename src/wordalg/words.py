@@ -14,6 +14,7 @@ codes of ``FactorIndex``).
 from __future__ import annotations
 
 import codecs
+import re
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
 
@@ -552,36 +553,18 @@ class CubeCheck:
     period: int | None = None
 
 
-def is_cube_free(word: str) -> CubeCheck:
-    """True iff no nonempty u has uuu as a factor; otherwise the first violation
-    (least position, then least period).
+_CUBE = re.compile(r"(.+?)\1\1", re.DOTALL)
 
-    A cube of period p starting at i holds the aligned block [kp, kp+p) and a
-    copy of it right after, for the one k with kp - p < i <= kp.  So each
-    period compares aligned blocks only, and tests the starts in (kp - p, kp]
-    where two match.
-    """
-    n = len(word)
-    best: tuple[int, int] | None = None
-    for p in range(1, n // 3 + 1):
-        for s in range(0, n - 2 * p + 1, p):
-            if word[s : s + p] != word[s + p : s + 2 * p]:
-                continue
-            i = next(
-                (
-                    i
-                    for i in range(max(s - p + 1, 0), min(s, n - 3 * p) + 1)
-                    if word[i : i + 2 * p] == word[i + p : i + 3 * p]
-                ),
-                None,
-            )
-            if i is not None:
-                if best is None or i < best[0]:
-                    best = (i, p)
-                break
-    if best is None:
+
+def is_cube_free(word: str) -> CubeCheck:
+    """True iff no nonempty u has uuu as a factor; otherwise the first violation:
+    the leftmost match of ``(.+?)\\1\\1``, so the least start, then the least
+    period.  Quadratic in the length of a cube-free word, where every start
+    tries every period; the cube view passes it short monomials."""
+    match = _CUBE.search(word)
+    if match is None:
         return CubeCheck(True)
-    return CubeCheck(False, best[0] + 1, best[1])
+    return CubeCheck(False, match.start() + 1, len(match.group(1)))
 
 
 class SuffixAutomaton:

@@ -350,6 +350,14 @@ def test_negative_sizes_exit_two(argv, capsys):
     _assert_usage_error(argv, "must be nonnegative", capsys)
 
 
+@pytest.mark.parametrize("horizons", ["1000", "1000,1000"])
+def test_scan_with_one_distinct_horizon_exits_two(horizons, capsys):
+    # a degree is flagged when its AP length grows from the smallest horizon
+    # to the largest; Thue-Morse degree 3 is unbounded, yet one horizon flags nothing
+    argv = ["scan", "--spec", str(REPO_MORPHISMS / "thue_morse.morph"), "--dmax", "3", "--horizons", horizons]
+    _assert_usage_error(argv, f"error: --horizons needs at least two distinct horizons, got {horizons}\n", capsys)
+
+
 @pytest.mark.parametrize("word", ["xyy", "c", "abx", "a b"])
 def test_rowen_word_outside_a_b_exits_two(word, capsys):
     _assert_usage_error(["rowen", "--N", "300", "--word", word], f"--word letters must be a or b, got {word!r}", capsys)

@@ -369,8 +369,12 @@ def test_pipeline_rank_with_identity_is_the_rank_of_the_identity_and_the_images(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", HorizonWarning)
         report = construction_pipeline(horizon=2000, free_pattern_length=free_pattern_length, d_max=2)
-    images = report.freeness.images
-    view = images[0].view
+    tilde = interleave.tilde_stream()
+    view = monalg.WordFactorView(tilde, 2000)
+    x, y = tilde.spec.base.alphabet.letters
+    primed = tilde.spec.mapping
+    gens = [monalg.NcPolynomial(view, {x: 1, y: 1}), monalg.NcPolynomial(view, {primed[x]: 1, primed[y]: 1})]
+    images = monalg.pattern_images(view, gens, free_pattern_length)
     oracle = monalg.linear_independence([monalg.NcPolynomial.one(view), *images])
     assert report.rank_with_identity == oracle.rank
 

@@ -542,12 +542,20 @@ def _agrees_with_brute(word):
         ("xxxxxx", (1, 1)),  # same start: the smallest period
         ("xyzyzyzx", (2, 2)),
         ("αβγαβγαβγ", (1, 3)),
+        ("x\nx\nx\n", (1, 2)),  # a newline is a letter like any other
     ],
 )
 def test_cube_first_position_then_period(word, expected):
     assert _brute_cube(word) == expected
     check = is_cube_free(word)
     assert (check.is_cube_free, check.position, check.period) == (False, *expected)
+
+
+def test_cube_free_matches_brute_force_on_every_short_word():
+    for letters, max_len in (("xy", 12), ("xyz", 7)):
+        for n in range(max_len + 1):
+            for word in map("".join, itertools.product(letters, repeat=n)):
+                assert _agrees_with_brute(word), word
 
 
 CUBE_ALPHABETS = ["xy", "xyzw", "αβγ"]

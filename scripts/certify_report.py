@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from wordalg import grading, words
-from wordalg.cli import emit_report, report_errors
+from wordalg.cli import emit_report, parse_scan_horizons, report_errors
 
 MORPHISMS = Path(__file__).resolve().parent.parent / "morphisms"
 
@@ -19,7 +19,7 @@ def main():
     parser.add_argument("--horizons", default="10000,100000")
     args = parser.parse_args()
     # checked before the first report, so a bad value prints no half report
-    horizons = grading.check_horizons(args.horizons.split(","))
+    horizons = parse_scan_horizons(args.horizons)
 
     for path in sorted(MORPHISMS.glob("*.morph")):
         morphism, weights = words.load_morphism_file(path)

@@ -26,6 +26,16 @@ def _parse_csv_ints(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(",") if t.strip() != "")
 
 
+def parse_scan_horizons(text: str) -> tuple[int, ...]:
+    """The ``--horizons`` of a scan: nonnegative, increasing and not all equal.
+    A degree is flagged when its AP length grows from the smallest horizon to
+    the largest, so one distinct horizon can flag nothing."""
+    horizons = grading.check_horizons(_parse_csv_ints(text))
+    if horizons[0] == horizons[-1]:
+        raise ValueError(f"--horizons needs at least two distinct horizons, got {text}")
+    return horizons
+
+
 def _load_morphism(args) -> tuple[words.Morphism, tuple[int, ...] | None]:
     if not args.spec:
         raise ValueError("--spec is required for this subcommand")
@@ -102,11 +112,7 @@ def _cmd_scan(args) -> tuple[int, str]:
         raise ValueError("weights required (either in the spec file or via --weights)")
     start = _pick_start(morphism, args.start)
     stream = words.MorphicStream(morphism, start)
-    horizons = grading.check_horizons(_parse_csv_ints(args.horizons))
-    if horizons[0] == horizons[-1]:
-        # a degree is flagged when its AP length grows from the smallest
-        # horizon to the largest, so one horizon can flag nothing
-        raise ValueError(f"--horizons needs at least two distinct horizons, got {args.horizons}")
+    horizons = parse_scan_horizons(args.horizons)
     report = grading.graded_nilpotence_scan(stream, weights, args.dmax, horizons)
     return (1 if report.flagged else 0), emit_report(report.to_record())
 

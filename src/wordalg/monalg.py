@@ -10,6 +10,7 @@ otherwise, so integer systems multiply and add as native ints.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -271,23 +272,68 @@ def _integer_rows(polys) -> tuple[list[dict[int, int]], list[int]]:
     col_of: dict[str, int] = {}
     rows, scales = [], []
     for poly in polys:
-        scale = math.lcm(*(c.denominator for c in poly.coeffs.values()))
-        rows.append({col_of.setdefault(w, len(col_of)): c.numerator * (scale // c.denominator)
-                     for w, c in poly.coeffs.items()})
+        # an int coefficient has denominator 1, so only Fractions enter the lcm
+        scale = math.lcm(*(c.denominator for c in poly.coeffs.values() if type(c) is not int))
+        row = {col_of.setdefault(w, len(col_of)): c for w, c in poly.coeffs.items()}
+        if scale > 1:
+            row = {k: c * scale if type(c) is int else c.numerator * (scale // c.denominator)
+                   for k, c in row.items()}
+        rows.append(row)
         scales.append(scale)
     return rows, scales
 
 
+def _unpeeled_residues(rows) -> np.ndarray:
+    """The rows that own no column (see _full_rank_mod_p), reduced mod p, as a
+    dense int64 matrix over the columns they use, in their row and column
+    order.  The entries are read once into flat int32 arrays (residues are
+    below p < 2^31), and only the kept ones remain when the matrix is filled."""
+    p = CERTIFICATE_PRIME
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    nnz = int(lengths.sum())
+    cols = np.fromiter(itertools.chain.from_iterable(rows), np.int32, nnz)
+    residues = np.fromiter((c % p for row in rows for c in row.values()), np.int32, nnz)
+    row_of = np.repeat(np.arange(len(rows), dtype=np.int32), lengths)
+    kept = residues != 0
+    # a column with one nonzero residue is owned by that entry's row
+    owned = np.bincount(cols[kept], minlength=1 + int(cols.max(initial=-1))) == 1
+    peeled = np.zeros(len(rows), dtype=bool)
+    peeled[row_of[kept & owned[cols]]] = True
+    kept &= ~peeled[row_of]
+    used = np.zeros_like(owned)
+    used[cols[kept]] = True
+    shape = (len(rows) - int(peeled.sum()), int(used.sum()))
+    # each kept entry's flat position in the matrix, in int32 when the matrix
+    # is small enough: an int32 index is cast in buffered chunks, not copied
+    index = np.int32 if shape[0] * shape[1] <= np.iinfo(np.int32).max else np.int64
+    flat = ((np.cumsum(~peeled, dtype=index) - 1) * shape[1])[row_of[kept]]
+    flat += np.cumsum(used, dtype=index)[cols[kept]]
+    flat -= 1
+    residues = residues[kept]
+    del cols, row_of, kept
+    m = np.zeros(shape, dtype=np.int64)
+    m.reshape(-1)[flat] = residues
+    return m
+
+
 def _full_rank_mod_p(rows) -> bool:
     """Whether the integer rows have full row rank over F_p.  The rank over Q is
-    at least that, so True proves them independent; False proves nothing."""
+    at least that, so True proves them independent; False proves nothing.
+
+    First every row that owns a column is peeled off (the singleton-column step
+    of sparse LU presolve).  A row owns a column when it is the only row whose
+    entry there is nonzero mod p.  Any relation mod p gives such a row the
+    coefficient 0, as its entry is the only nonzero one in that column, so the
+    rows have full rank iff the rest do.  An entry that is a nonzero multiple
+    of p owns nothing: `1*x; 2147483647*y` is dependent over F_p.  Rows with
+    disjoint supports peel completely; the rest are eliminated densely over
+    the columns they use."""
     p = CERTIFICATE_PRIME
-    m = np.zeros((len(rows), 1 + max((max(row) for row in rows if row), default=-1)), dtype=np.int64)
-    for i, row in enumerate(rows):
-        m[i, list(row)] = [c % p for c in row.values()]
+    m = _unpeeled_residues(rows)
     # forward elimination, one pivot row at a time: row i has already been
     # reduced by every earlier pivot, and its pivot clears its lead column in
-    # the rows below that have it, on its own support only
+    # the rows below that have it, on its own support only; entries are below
+    # p, so m - f*r lies above -p^2 > -2^63 and one reduction mod p suffices
     for i, row in enumerate(m):
         support = np.flatnonzero(row)
         if support.size == 0:
@@ -297,17 +343,22 @@ def _full_rank_mod_p(rows) -> bool:
         if below.size:
             factors = m[below, lead] * pow(int(row[lead]), -1, p) % p
             block = np.ix_(below, support)
-            m[block] = (m[block] - factors[:, None] * row[support] % p) % p
+            m[block] = (m[block] - factors[:, None] * row[support]) % p
     return True
 
 
 def linear_independence(polys) -> IndependenceResult:
     """Exact rank of the span; a normalized dependency witness when dependent.
 
-    Full rank modulo CERTIFICATE_PRIME settles independence at once.  Any other
-    system is eliminated exactly on its integer rows, integer-preserving as in
-    Bareiss (1968): a row that meets a pivot at its least column becomes
-    a*row - b*pivot, then the row and its combination lose their common content."""
+    Full rank modulo CERTIFICATE_PRIME settles independence at once.  That
+    certificate first peels off every row that owns a column, being the only
+    row whose entry there is nonzero mod p, so images with disjoint supports
+    need no matrix at all.  The owned entry must be nonzero mod p, not just
+    over Q: a multiple of p vanishes over F_p, and a row kept apart only by it
+    may depend on the others there.  Any other system is eliminated exactly on
+    its integer rows, integer-preserving as in Bareiss (1968): a row that meets
+    a pivot at its least column becomes a*row - b*pivot, then the row and its
+    combination lose their common content."""
     polys = list(polys)
     rows, scales = _integer_rows(polys)
     if _full_rank_mod_p(rows):

@@ -418,6 +418,8 @@ def _cli_env():
     ["operator_report.py", "--N", "50"],
     ["operator_report.py", "--maxlen", "0"],
     ["certify_report.py", "--horizons", "100,10"],
+    # one distinct horizon can flag no degree, as for `wordalg scan`
+    ["certify_report.py", "--horizons", "1000"],
 ])
 def test_script_usage_error_is_one_line(argv):
     # the scripts share the command's mapping of errors to exit codes

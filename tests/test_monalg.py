@@ -9,6 +9,8 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from wordalg import monalg
 from wordalg.monalg import (
@@ -399,6 +401,60 @@ def test_certificate_holds_on_free_pattern_images():
     images = pattern_images(view, gens, 4)
     assert _certificate_holds(images)
     assert linear_independence(images) == IndependenceResult(len(images), True, None)
+
+
+# entries of the oracle systems: small ones, p - 1 and 1 - p (a product of two
+# residues then reaches (p - 1)^2), p + 1, and nonzero multiples of p, which
+# are zero over F_p
+certificate_entries = st.sampled_from([-3, -2, -1, 1, 2, 3, P - 1, 1 - P, P, -P, 2 * P, P + 1])
+
+
+@st.composite
+def certificate_systems(draw):
+    """Sparse integer rows {column: coefficient} made of blocks that reach each
+    step of the certificate: rows on columns of their own (which peel), rows
+    on one shared set of columns (which do not), and a row whose only column
+    of its own holds a multiple of p; then empty and duplicate rows."""
+    rows = []
+    columns = itertools.count()
+    for kind in draw(st.lists(st.sampled_from(["disjoint", "dense", "owned_zero"]), min_size=1, max_size=3)):
+        if kind == "disjoint":
+            for _ in range(draw(st.integers(1, 4))):
+                rows.append({next(columns): draw(certificate_entries) for _ in range(draw(st.integers(1, 3)))})
+        elif kind == "dense":
+            block = [next(columns) for _ in range(draw(st.integers(1, 4)))]
+            for _ in range(draw(st.integers(1, 4))):
+                rows.append({c: draw(certificate_entries) for c in block})
+        else:
+            shared = next(columns)
+            rows.append({next(columns): draw(st.sampled_from([P, -P, 2 * P])), shared: draw(certificate_entries)})
+            rows.append({shared: draw(certificate_entries)})
+    rows += [{} for _ in range(draw(st.integers(0, 1)))]
+    rows += [dict(rows[i]) for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2))]
+    return draw(st.permutations(rows))
+
+
+@given(rows=certificate_systems())
+@settings(max_examples=300, deadline=None)
+def test_full_rank_mod_p_matches_sympy_over_the_prime_field(rows):
+    field = GF(P)
+    width = 1 + max((c for row in rows for c in row), default=0)
+    matrix = DomainMatrix([[field(row.get(c, 0)) for c in range(width)] for row in rows], (len(rows), width), field)
+    assert monalg._full_rank_mod_p(rows) == (matrix.rank() == len(rows))
+
+
+@pytest.mark.parametrize("view, literals, max_len, shape", [
+    # disjoint supports: every image owns its monomials, so nothing is left
+    (CubeIdealView("xyzw"), ["1*x + 1*y", "1*z + 1*w"], 5, (0, 0)),
+    # every monomial of length k is in every image of length k: nothing peels
+    (FreeView("xy"), ["1*x + 1*y", "1*x + -1*y"], 4, (30, 30)),
+    # y + z owns z; x and 2*x + y share x and own nothing while y + z has y
+    (FreeView("xyz"), ["1*x", "2*x + 1*y", "1*y + 1*z"], 1, (2, 2)),
+])
+def test_peel_leaves_the_rows_that_own_no_column(view, literals, max_len, shape):
+    images = pattern_images(view, [parse_poly_literal(view, t) for t in literals], max_len)
+    rows, _ = monalg._integer_rows(images)
+    assert monalg._unpeeled_residues(rows).shape == shape
 
 
 @pytest.mark.parametrize("view, literals", [

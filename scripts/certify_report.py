@@ -24,7 +24,9 @@ def main():
     for path in sorted(MORPHISMS.glob("*.morph")):
         morphism, weights = words.load_morphism_file(path)
         report = words.analyze_morphism(morphism)
-        start = next(c for c in morphism.alphabet.letters if words.is_prolongable(morphism, c))
+        start = next((c for c in morphism.alphabet.letters if words.is_prolongable(morphism, c)), None)
+        if start is None:
+            raise ValueError(f"{path}: the morphism is not prolongable on any letter")
         print(f"== {path.name} (start {start}, weights {weights})")
         print(emit_report({
             "matrix": ";".join(",".join(str(e) for e in row) for row in report.matrix),

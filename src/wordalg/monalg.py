@@ -283,53 +283,46 @@ def _integer_rows(polys) -> tuple[list[dict[int, int]], list[int]]:
     return rows, scales
 
 
-def _unpeeled_residues(rows) -> np.ndarray:
-    """The rows that own no column (see _full_rank_mod_p), reduced mod p, as a
-    dense int64 matrix over the columns they use, in their row and column
-    order.  The entries are read once into flat int32 arrays (residues are
-    below p < 2^31), and only the kept ones remain when the matrix is filled."""
-    p = CERTIFICATE_PRIME
+def _unowned(rows) -> list[int]:
+    """The indices of the integer rows that own no column, a row owning a
+    column when it is the only row with an entry there.  Any relation over Q
+    gives an owner the coefficient 0, so owners take part in no relation (the
+    singleton-column step of sparse LU presolve)."""
     lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-    nnz = int(lengths.sum())
-    cols = np.fromiter(itertools.chain.from_iterable(rows), np.int32, nnz)
-    residues = np.fromiter((c % p for row in rows for c in row.values()), np.int32, nnz)
-    row_of = np.repeat(np.arange(len(rows), dtype=np.int32), lengths)
-    kept = residues != 0
-    # a column with one nonzero residue is owned by that entry's row
-    owned = np.bincount(cols[kept], minlength=1 + int(cols.max(initial=-1))) == 1
-    peeled = np.zeros(len(rows), dtype=bool)
-    peeled[row_of[kept & owned[cols]]] = True
-    kept &= ~peeled[row_of]
-    used = np.zeros_like(owned)
-    used[cols[kept]] = True
-    shape = (len(rows) - int(peeled.sum()), int(used.sum()))
-    # each kept entry's flat position in the matrix, in int32 when the matrix
-    # is small enough: an int32 index is cast in buffered chunks, not copied
-    index = np.int32 if shape[0] * shape[1] <= np.iinfo(np.int32).max else np.int64
-    flat = ((np.cumsum(~peeled, dtype=index) - 1) * shape[1])[row_of[kept]]
-    flat += np.cumsum(used, dtype=index)[cols[kept]]
-    flat -= 1
-    residues = residues[kept]
-    del cols, row_of, kept
-    m = np.zeros(shape, dtype=np.int64)
-    m.reshape(-1)[flat] = residues
-    return m
+    # intp, as bincount would copy any narrower column array into it
+    cols = np.fromiter(itertools.chain.from_iterable(rows), np.intp, int(lengths.sum()))
+    owned = np.bincount(cols) == 1
+    owner = np.zeros(len(rows), dtype=bool)
+    owner[np.searchsorted(np.cumsum(lengths), np.flatnonzero(owned[cols]), side="right")] = True
+    return np.flatnonzero(~owner).tolist()
 
 
 def _full_rank_mod_p(rows) -> bool:
     """Whether the integer rows have full row rank over F_p.  The rank over Q is
     at least that, so True proves them independent; False proves nothing.
 
-    First every row that owns a column is peeled off (the singleton-column step
-    of sparse LU presolve).  A row owns a column when it is the only row whose
-    entry there is nonzero mod p.  Any relation mod p gives such a row the
-    coefficient 0, as its entry is the only nonzero one in that column, so the
-    rows have full rank iff the rest do.  An entry that is a nonzero multiple
-    of p owns nothing: `1*x; 2147483647*y` is dependent over F_p.  Rows with
-    disjoint supports peel completely; the rest are eliminated densely over
-    the columns they use."""
+    The rows are reduced mod p into a dense int64 matrix over the columns they
+    use and eliminated there.  More rows than columns in use can never have
+    full rank, so such rows are refused before any matrix is built."""
     p = CERTIFICATE_PRIME
-    m = _unpeeled_residues(rows)
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    cols = np.fromiter(itertools.chain.from_iterable(rows), np.int32, int(lengths.sum()))
+    used = np.zeros(1 + int(cols.max(initial=-1)), dtype=bool)
+    used[cols] = True
+    shape = (len(rows), int(used.sum()))
+    if shape[0] > shape[1]:
+        return False
+    # each entry's flat position in the matrix, in int32 when the matrix is
+    # small enough: an int32 index is cast in buffered chunks, not copied
+    index = np.int32 if shape[0] * shape[1] <= np.iinfo(np.int32).max else np.int64
+    flat = (np.cumsum(used, dtype=index) - 1)[cols]
+    del cols
+    flat += np.repeat(np.arange(shape[0], dtype=index) * shape[1], lengths)
+    # residues are below p < 2^31, so they are read as int32 before the matrix
+    residues = np.fromiter((c % p for row in rows for c in row.values()), np.int32, len(flat))
+    m = np.zeros(shape, dtype=np.int64)
+    m.reshape(-1)[flat] = residues
+    del flat, residues
     # forward elimination, one pivot row at a time: row i has already been
     # reduced by every earlier pivot, and its pivot clears its lead column in
     # the rows below that have it, on its own support only; entries are below
@@ -350,22 +343,22 @@ def _full_rank_mod_p(rows) -> bool:
 def linear_independence(polys) -> IndependenceResult:
     """Exact rank of the span; a normalized dependency witness when dependent.
 
-    Full rank modulo CERTIFICATE_PRIME settles independence at once.  That
-    certificate first peels off every row that owns a column, being the only
-    row whose entry there is nonzero mod p, so images with disjoint supports
-    need no matrix at all.  The owned entry must be nonzero mod p, not just
-    over Q: a multiple of p vanishes over F_p, and a row kept apart only by it
-    may depend on the others there.  Any other system is eliminated exactly on
-    its integer rows, integer-preserving as in Bareiss (1968): a row that meets
-    a pivot at its least column becomes a*row - b*pivot, then the row and its
-    combination lose their common content."""
+    Only the rows that own no column (see _unowned) are eliminated: the rank is
+    the number of owners plus the rank of the rest, so images with disjoint
+    supports need no elimination.  Full rank of the rest modulo
+    CERTIFICATE_PRIME settles independence at once.  Otherwise they are
+    eliminated exactly on their integer rows, integer-preserving as in Bareiss
+    (1968): a row that meets a pivot at its least column becomes a*row -
+    b*pivot, then the row and its combination lose their common content."""
     polys = list(polys)
     rows, scales = _integer_rows(polys)
-    if _full_rank_mod_p(rows):
+    unowned = _unowned(rows)
+    if _full_rank_mod_p([rows[i] for i in unowned]):
         return IndependenceResult(len(polys), True, None)
     pivots: dict[int, list[dict[int, int]]] = {}  # lead column -> [row, combination]
     dependency = None
-    for i, row in enumerate(rows):
+    for i in unowned:
+        row = rows[i]
         # row == sum(combination[j] * polys[j]); combinations are tracked only
         # until the first dependent row is found
         vectors = [row, {i: scales[i]}] if dependency is None else [row]
@@ -385,7 +378,8 @@ def linear_independence(polys) -> IndependenceResult:
             combo = vectors[1]
             first = combo[min(combo)]
             dependency = tuple(Fraction(combo.get(j, 0), first) for j in range(len(polys)))
-    return IndependenceResult(len(pivots), len(pivots) == len(polys), dependency)
+    rank = len(polys) - len(unowned) + len(pivots)
+    return IndependenceResult(rank, rank == len(polys), dependency)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import os
 import subprocess
@@ -430,6 +431,21 @@ def test_script_usage_error_is_one_line(argv):
     assert proc.stdout == ""  # the error comes before any part of a report
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def test_certify_report_names_a_spec_with_no_prolongable_letter(tmp_path, monkeypatch, capsys):
+    # a report for each spec before it, then one error line and the usage exit
+    spec = importlib.util.spec_from_file_location("certify_report", REPO / "scripts" / "certify_report.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    (tmp_path / "sub_xy.morph").write_text(SUB_XY)
+    (tmp_path / "swap.morph").write_text("x y\nx -> y\ny -> x\n")
+    monkeypatch.setattr(script, "MORPHISMS", tmp_path)
+    monkeypatch.setattr(sys, "argv", ["certify_report.py", "--horizons", "100,1000"])
+    assert script.report_errors(script.main) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("== sub_xy.morph") and "swap.morph" not in out
+    assert err == f"error: {tmp_path / 'swap.morph'}: the morphism is not prolongable on any letter\n"
 
 
 def test_horizon_warning_is_one_stderr_line():

@@ -1,7 +1,9 @@
 import itertools
+import math
 import operator
 import random
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import GF
+from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
 from wordalg import monalg
@@ -412,9 +414,10 @@ certificate_entries = st.sampled_from([-3, -2, -1, 1, 2, 3, P - 1, 1 - P, P, -P,
 @st.composite
 def certificate_systems(draw):
     """Sparse integer rows {column: coefficient} made of blocks that reach each
-    step of the certificate: rows on columns of their own (which peel), rows
-    on one shared set of columns (which do not), and a row whose only column
-    of its own holds a multiple of p; then empty and duplicate rows."""
+    step of the rank: rows on columns of their own (which own them), rows on
+    one shared set of columns (which own none), and a row whose only column of
+    its own holds a multiple of p (an owner over Q, zero there over F_p); then
+    empty and duplicate rows."""
     rows = []
     columns = itertools.count()
     for kind in draw(st.lists(st.sampled_from(["disjoint", "dense", "owned_zero"]), min_size=1, max_size=3)):
@@ -450,11 +453,78 @@ def test_full_rank_mod_p_matches_sympy_over_the_prime_field(rows):
     (FreeView("xy"), ["1*x + 1*y", "1*x + -1*y"], 4, (30, 30)),
     # y + z owns z; x and 2*x + y share x and own nothing while y + z has y
     (FreeView("xyz"), ["1*x", "2*x + 1*y", "1*y + 1*z"], 1, (2, 2)),
+    # ownership is over Q: 2147483647*y owns y, though it vanishes mod p
+    (FreeView("xy"), ["1*x", "2147483647*y"], 1, (0, 0)),
 ])
 def test_peel_leaves_the_rows_that_own_no_column(view, literals, max_len, shape):
     images = pattern_images(view, [parse_poly_literal(view, t) for t in literals], max_len)
     rows, _ = monalg._integer_rows(images)
-    assert monalg._unpeeled_residues(rows).shape == shape
+    unowned = monalg._unowned(rows)
+    # in each of these systems the rows that own no column come first
+    assert unowned == list(range(shape[0]))
+    assert len(set().union(*(rows[i] for i in unowned))) == shape[1]
+
+
+def test_certificate_refuses_more_rows_than_columns_before_any_matrix(xy_stream):
+    # the CI system `free --view word --spec morphisms/sub_xy.morph --gens
+    # '1*x + 1*y;1*x + 2*y' --horizon 100000 --Lfree 11`: 4,094 rows, none of
+    # which owns a column, over 187 columns; its 4,094 x 187 int64 matrix
+    # alone would take 6 MB
+    view = WordFactorView(xy_stream, 100_000)
+    gens = [parse_poly_literal(view, "1*x + 1*y"), parse_poly_literal(view, "1*x + 2*y")]
+    rows, _ = monalg._integer_rows(pattern_images(view, gens, 11))
+    tracemalloc.start()
+    try:
+        assert not monalg._full_rank_mod_p(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert len(monalg._unowned(rows)) == len(rows) == 4094
+    assert len(set().union(*rows)) == 187
+
+
+def _all_rows_elimination(polys):
+    """linear_independence as it was before the peel: the exact loop over every
+    row, after a failed certificate or without one (same result either way)."""
+    rows, scales = monalg._integer_rows(polys)
+    pivots = {}
+    dependency = None
+    for i, row in enumerate(rows):
+        vectors = [row, {i: scales[i]}] if dependency is None else [row]
+        while row and (lead := min(row)) in pivots:
+            pivot = pivots[lead]
+            g = math.gcd(row[lead], pivot[0][lead])
+            a, b = pivot[0][lead] // g, row[lead] // g
+            vectors = [{k: c for k in v.keys() | w.keys() if (c := a * v.get(k, 0) - b * w.get(k, 0))}
+                       for v, w in zip(vectors, pivot)]
+            if (content := math.gcd(*(c for v in vectors for c in v.values()))) > 1:
+                vectors = [{k: c // content for k, c in v.items()} for v in vectors]
+            row = vectors[0]
+        if row:
+            pivots[min(row)] = vectors
+        elif dependency is None:
+            combo = vectors[1]
+            first = combo[min(combo)]
+            dependency = tuple(Fraction(combo.get(j, 0), first) for j in range(len(polys)))
+    return IndependenceResult(len(pivots), len(pivots) == len(polys), dependency)
+
+
+@given(rows=certificate_systems(), denominators=st.lists(st.sampled_from([1, 2, 3, P]), max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_peeled_elimination_matches_the_all_rows_elimination_and_sympy(rows, denominators):
+    # column c is the monomial x^(c+1); a row may carry a denominator, which
+    # its integer row scales away
+    view = FreeView("x")
+    polys = [NcPolynomial(view, {"x" * (c + 1): Fraction(v, d) for c, v in row.items()})
+             for row, d in zip(rows, denominators + [1] * len(rows))]
+    res = linear_independence(polys)
+    assert res == _all_rows_elimination(polys)
+    width = 1 + max((c for row in rows for c in row), default=0)
+    matrix = DomainMatrix([[QQ(p.coeffs.get("x" * (c + 1), 0)) for c in range(width)] for p in polys],
+                          (len(polys), width), QQ)
+    assert res.rank == matrix.rank()
+    assert res.independent == (res.rank == len(polys))
 
 
 @pytest.mark.parametrize("view, literals", [

@@ -22,7 +22,10 @@ def main():
     horizons = parse_scan_horizons(args.horizons)
 
     for path in sorted(MORPHISMS.glob("*.morph")):
-        morphism, weights = words.load_morphism_file(path)
+        try:
+            morphism, weights = words.load_morphism_file(path)
+        except ValueError as exc:  # a malformed spec; an OSError names its file already
+            raise ValueError(f"{path}: {exc}") from exc
         report = words.analyze_morphism(morphism)
         start = next((c for c in morphism.alphabet.letters if words.is_prolongable(morphism, c)), None)
         if start is None:

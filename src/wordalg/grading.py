@@ -13,7 +13,10 @@ integer combination of the first |A|, so their gcd is the gcd of them all.
 The empirical counterpart is the AP scan: an arithmetic progression of
 difference D in the weight-sum set that keeps growing with the horizon
 witnesses a nonvanishing product of degree-D monomials; ``longest_ap`` finds
-the longest by shift-and doubling on the set held as one int.
+the longest by shift-and doubling on the set held as one int.  That int is
+the whole set: it is packed from a mask of one byte per unit of weight,
+built from the letter codes a piece at a time, and no array holds a sum or a
+weight per letter.
 
 The longest AP of difference D at the smallest horizon, m, never exceeds the
 supremum over the whole infinite word, the nilpotency index in degree D.  When
@@ -22,18 +25,19 @@ that supremum, so the scan reports m at every horizon without reading the
 longer prefixes for that degree.  The scan builds the smallest horizon's
 prefix and sums first, and the largest horizon's only when some degree is left
 open; a stream without covering words (the fixed point of a morphism that is
-not primitive) builds the largest horizon's at once.
+not primitive) builds the largest horizon's at once.  Every other horizon's
+set is cut from the largest one built, at that horizon's prefix weight.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .words import (
+    PIECE_SIZE,
     MorphicStream,
     Morphism,
     NotProlongableError,
@@ -58,33 +62,65 @@ GROWTH_FLOOR = 20
 
 @dataclass(frozen=True, eq=False)
 class WeightSumSet:
-    """Partial sums s_0 = 0, s_i = s_{i-1} + weight(letter_i) along a prefix."""
+    """Partial sums s_0 = 0, s_i = s_{i-1} + weight(letter_i) along a prefix,
+    held only as one int: bit v is set iff v is a weight sum (bit 0 always is)."""
 
     weights: tuple[int, ...]
-    sums: np.ndarray  # strictly increasing int64, sums[0] == 0
-
-    @cached_property
-    def bits(self) -> int:
-        """The set as one int: bit v is set iff v is a weight sum (bit 0 always is)."""
-        mask = np.zeros(self.max_value + 1, dtype=bool)
-        mask[self.sums] = True
-        return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+    bits: int
 
     @property
     def max_value(self) -> int:
-        return int(self.sums[-1])
+        return self.bits.bit_length() - 1
+
+
+_PAD = 2  # pads the rows of a mask-image table; never a mask byte
+
+
+def _weight(codes: np.ndarray, weights: tuple[int, ...]) -> int:
+    """Total weight of the letter codes ``codes``, letter i weighing weights[i]."""
+    return sum(int(np.count_nonzero(codes == i)) * w for i, w in enumerate(weights))
 
 
 def _text_sums(text: str, letters, weights: tuple[int, ...]) -> WeightSumSet:
     """Weight-sum set of ``text``, letter i of ``letters`` weighing weights[i].
-    Raises OverflowError when the total weight does not fit in int64."""
+
+    Byte v of its mask is 1 iff v is a weight sum, so the mask is the image
+    of ``text`` under c -> 1 0^(w_c - 1), followed by a final 1.  Like
+    ``MorphicStream._grow``, one gather per piece from a table of the images
+    padded to the longest lays them side by side, and dropping the pads
+    leaves them in order; then the mask is packed to bits.  Beside the text
+    and its codes that is one byte per unit of weight, and no array holds a
+    value per letter.  A piece is PIECE_SIZE bytes of images, or one
+    letter's image, and the rows are cut at the mask's length, so neither a
+    piece nor a row outgrows the mask.  Raises
+    OverflowError when the total weight does not fit in int64, and
+    MemoryError when the mask does not fit in memory."""
     codes = encode(text, letters)
-    total = sum(int(np.count_nonzero(codes == i)) * w for i, w in enumerate(weights))
+    total = _weight(codes, weights)
     if total >= 2**63:
         raise OverflowError(f"total weight {total} of {codes.size} letters exceeds int64")
-    sums = np.zeros(codes.size + 1, dtype=np.int64)
-    np.cumsum(np.array(weights, dtype=np.int64)[codes], out=sums[1:])
-    return WeightSumSet(weights, sums)
+    mask = np.empty(total + 1, dtype=np.uint8)
+    # a letter heavier than the whole text does not occur in it
+    width = min(max(weights), total + 1)
+    table = np.full((len(weights), width), _PAD, dtype=np.uint8)
+    for row, w in zip(table, weights):
+        row[:w] = 0
+    table[:, 0] = 1
+    images = table.view(np.dtype((np.void, width))).ravel()
+    step, end = max(PIECE_SIZE // width, 1), 0
+    for start in range(0, codes.size, step):
+        image = images.take(codes[start : start + step]).view(np.uint8)
+        image = image[image != _PAD]
+        mask[end : end + image.size] = image
+        end += image.size
+    mask[end] = 1
+    return WeightSumSet(weights, int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little"))
+
+
+def _head(sumset: WeightSumSet, codes: np.ndarray) -> WeightSumSet:
+    """Weight-sum set of the letter codes ``codes``, a prefix of the letters
+    that ``sumset`` was built from: its bits up to the weight of ``codes``."""
+    return WeightSumSet(sumset.weights, sumset.bits & ((2 << _weight(codes, sumset.weights)) - 1))
 
 
 def weight_sum_prefix(stream: PrefixStream, weights, n: int) -> WeightSumSet:
@@ -113,21 +149,22 @@ def is_ap_supremum(covers: list[WeightSumSet], difference: int, m: int) -> bool:
 
 def longest_ap(sumset: WeightSumSet, difference: int) -> int:
     """Largest L such that t, t+D, ..., t+(L-1)D all lie in the set, exactly.
-    Shift-and doubling on ``sumset.bits``: bit t of starts[i] is set iff an AP
-    of 2**i terms starts at t, so starts[i+1] = starts[i] & (starts[i] >> 2**i*D).
-    Lifting from the top level, an AP of L terms at t takes 2**i more iff bit
-    t + L*D of starts[i] is set: O(log L) passes over max_value / 8 bytes."""
+    Shift-and doubling on ``sumset.bits``: when bit t of S_k is set iff an
+    AP of k terms starts at t, S_(k+j) = S_k & (S_k >> j*D) for every j <= k.
+    Doubling k from 1 reaches the power of two K with K <= L < 2K, and the
+    bits of L - K, highest first, are read off S_K alone: O(log L) passes
+    over max_value / 8 bytes that hold a few ints at a time, whatever L is."""
     if difference < 1:
         raise ValueError("difference must be positive")
-    starts = [sumset.bits]
-    while starts[-1]:
-        starts.append(starts[-1] & (starts[-1] >> (difference << (len(starts) - 1))))
-    top = len(starts) - 2  # starts[top + 1] == 0, so 2**top <= L < 2**(top + 1)
-    cur, length = starts[top], 1 << top
-    for i in reversed(range(top)):
-        if cand := cur & (starts[i] >> (length * difference)):
-            cur, length = cand, length + (1 << i)
-    return length
+    top, length = sumset.bits, 1  # top is S_length
+    while doubled := top & (top >> (length * difference)):
+        top, length = doubled, 2 * length
+    extra, step = 0, length >> 1
+    while step:
+        if top & (top >> ((extra + step) * difference)):  # S_(length + extra + step)
+            extra += step
+        step >>= 1
+    return length + extra
 
 
 def is_rotation_primitive(gaps) -> bool:
@@ -300,7 +337,8 @@ def graded_nilpotence_scan(stream: PrefixStream, weights, d_max: int, horizons) 
     in that degree).  A difference whose length at the smallest horizon passes
     ``is_ap_supremum`` keeps that length at every horizon.  The larger
     horizons' prefix and sums are built only when some difference does not
-    pass, or the stream has no covering words (``words.has_covering_words``)."""
+    pass, or the stream has no covering words (``words.has_covering_words``);
+    the sets of the horizons between are cut from the largest (``_head``)."""
     horizons = check_horizons(horizons)
     if d_max < 1:
         raise ValueError("d_max must be positive")
@@ -309,7 +347,7 @@ def graded_nilpotence_scan(stream: PrefixStream, weights, d_max: int, horizons) 
     coverable = len(horizons) > 1 and has_covering_words(stream)
     sums = weight_sum_prefix(stream, weights, horizons[0] if coverable else horizons[-1])
     # the sums of a prefix are the head of the sums of any longer prefix
-    first_sums = WeightSumSet(sums.weights, sums.sums[: horizons[0] + 1])
+    first_sums = sums if coverable else _head(sums, stream.codes(0, horizons[0]))
     first = {d: longest_ap(first_sums, d) for d in range(1, d_max + 1)}
     # an AP longer than first[d] would span at most span[d] letters; a span
     # past the smallest horizon would make the check cost more than its scan
@@ -320,10 +358,10 @@ def graded_nilpotence_scan(stream: PrefixStream, weights, d_max: int, horizons) 
         covers = covering_sums(stream, sums.weights, max(span[d] for d in candidates))
         settled = {d for d in candidates if is_ap_supremum(covers, d, first[d])}
     later: list[WeightSumSet] = []  # the larger horizons, read only for an open degree
-    if len(settled) < len(first):
+    if len(settled) < len(first) and len(horizons) > 1:
         if coverable:
             sums = weight_sum_prefix(stream, weights, horizons[-1])
-        later = [WeightSumSet(sums.weights, sums.sums[: h + 1]) for h in horizons[1:]]
+        later = [*(_head(sums, stream.codes(0, h)) for h in horizons[1:-1]), sums]
     table: dict[int, tuple[int, ...]] = {}
     flagged = []
     for d, m in first.items():

@@ -433,11 +433,16 @@ def test_script_usage_error_is_one_line(argv):
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
-def test_certify_report_names_a_spec_with_no_prolongable_letter(tmp_path, monkeypatch, capsys):
-    # a report for each spec before it, then one error line and the usage exit
+def _certify_report_script():
     spec = importlib.util.spec_from_file_location("certify_report", REPO / "scripts" / "certify_report.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_certify_report_names_a_spec_with_no_prolongable_letter(tmp_path, monkeypatch, capsys):
+    # a report for each spec before it, then one error line and the usage exit
+    script = _certify_report_script()
     (tmp_path / "sub_xy.morph").write_text(SUB_XY)
     (tmp_path / "swap.morph").write_text("x y\nx -> y\ny -> x\n")
     monkeypatch.setattr(script, "MORPHISMS", tmp_path)
@@ -446,6 +451,20 @@ def test_certify_report_names_a_spec_with_no_prolongable_letter(tmp_path, monkey
     out, err = capsys.readouterr()
     assert out.startswith("== sub_xy.morph") and "swap.morph" not in out
     assert err == f"error: {tmp_path / 'swap.morph'}: the morphism is not prolongable on any letter\n"
+
+
+def test_certify_report_names_a_malformed_spec(tmp_path, monkeypatch, capsys):
+    # as for a spec with no prolongable letter: the reports before it, then
+    # one error line that names the file, and the usage exit
+    script = _certify_report_script()
+    (tmp_path / "sub_xy.morph").write_text(SUB_XY)
+    (tmp_path / "xy.morph").write_text("x y\nx -> xy\n")
+    monkeypatch.setattr(script, "MORPHISMS", tmp_path)
+    monkeypatch.setattr(sys, "argv", ["certify_report.py", "--horizons", "100,1000"])
+    assert script.report_errors(script.main) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("== sub_xy.morph") and "== xy.morph" not in out
+    assert err == f"error: {tmp_path / 'xy.morph'}: no image given for letter 'y'\n"
 
 
 def test_horizon_warning_is_one_stderr_line():

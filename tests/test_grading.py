@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wordalg import interleave, monalg
+from wordalg import grading, interleave, monalg
 from wordalg.grading import (
     CERTIFIED,
     NOT_APPLICABLE,
@@ -22,6 +22,7 @@ from wordalg.grading import (
     WeightSumSet,
 )
 from wordalg.words import (
+    PIECE_SIZE,
     MorphicStream,
     NotProlongableError,
     PeriodicStream,
@@ -46,8 +47,7 @@ def _bundled_stream(name):
 
 
 def _sumset_from_values(values):
-    sums = np.array(sorted(set(values)), dtype=np.int64)
-    return WeightSumSet((1,), sums)
+    return WeightSumSet((1,), sum(1 << v for v in set(values)))
 
 
 # -- weight sums ---------------------------------------------------------------
@@ -55,18 +55,19 @@ def _sumset_from_values(values):
 
 def test_weight_sum_prefix_examples(xy_stream):
     s = weight_sum_prefix(xy_stream, (1, 2), 5)  # xyyyx
-    assert list(s.sums) == [0, 1, 3, 5, 7, 8]
+    assert s.bits == 0b110101011 and s.max_value == 8  # 0, 1, 3, 5, 7, 8
     ones = weight_sum_prefix(xy_stream, (1, 1), 7)
-    assert list(ones.sums) == list(range(8))
+    assert ones.bits == 0xFF and ones.max_value == 7
     two = weight_sum_prefix(PeriodicStream("xy"), (1, 2), 2)
-    assert list(two.sums) == [0, 1, 3]
+    assert two.bits == 0b1011 and two.max_value == 3
 
 
 def test_weight_sums_strictly_increasing_with_bounded_gaps(xy_stream):
     s = weight_sum_prefix(xy_stream, (1, 2), 1000)
-    gaps = np.diff(s.sums)
+    members = [v for v in range(s.max_value + 1) if s.bits >> v & 1]
+    assert len(members) == 1001 and members[0] == 0
+    gaps = np.diff(members)
     assert (gaps >= 1).all() and (gaps <= 2).all()
-    assert s.sums[0] == 0
 
 
 # -- longest AP ------------------------------------------------------------------
@@ -105,8 +106,8 @@ def test_longest_ap_matches_brute_force(values, d):
 def _residue_class_longest_ap(sumset, d):
     """The longest run of members in any residue class r mod D, read class by
     class over a one-byte mask: an oracle for ``longest_ap`` that shares no code with it."""
-    absent = np.ones(sumset.max_value + 1, dtype=bool)
-    absent[sumset.sums] = False
+    packed = np.frombuffer(sumset.bits.to_bytes(sumset.max_value // 8 + 1, "little"), dtype=np.uint8)
+    absent = np.unpackbits(packed, count=sumset.max_value + 1, bitorder="little") == 0
     best = 0
     for r in range(min(d, absent.size)):
         cells = absent[r::d]
@@ -142,13 +143,69 @@ def test_longest_ap_of_an_interval_lands_on_each_side_of_a_power_of_two(k, d):
             assert longest_ap(sumset, d) == _residue_class_longest_ap(sumset, d) == length
 
 
-@given(values=st.sets(st.integers(0, 3000), max_size=400))
-@settings(max_examples=100, deadline=None)
-def test_bits_holds_exactly_the_weight_sums(values):
-    sumset = _sumset_from_values(values | {0})
-    members = {v for v in range(sumset.max_value + 1) if sumset.bits >> v & 1}
-    assert members == set(sumset.sums.tolist())
-    assert sumset.bits.bit_length() == sumset.max_value + 1
+# the fixed points the weight-sum oracle reads; x -> xy, y -> y is not
+# primitive, so the scan builds its largest horizon first and cuts every
+# smaller one from it
+ORACLE_STREAMS = {
+    **{name: lambda name=name: _bundled_stream(name)[0] for name in BUNDLED_SPECS},
+    "x -> xy, y -> y": lambda: MorphicStream(make_morphism("xy", x="xy", y="y"), "x"),
+}
+
+
+@st.composite
+def weighted_prefixes(draw):
+    """A stream of ``ORACLE_STREAMS``, weights 1-5 or a far-apart pair (1
+    and 64), and a length of 0, 1 or one beside the end of a piece of the
+    mask build, which takes PIECE_SIZE bytes of letter images."""
+    name = draw(st.sampled_from(sorted(ORACLE_STREAMS)))
+    size = ORACLE_STREAMS[name]().alphabet.size
+    weights = draw(st.one_of(
+        st.tuples(*[st.integers(1, 5)] * size),
+        st.permutations([1, 64] + [1] * (size - 2)).map(tuple),
+    ))
+    step = PIECE_SIZE // max(weights)
+    n = draw(st.sampled_from([0, 1, *(k * step + delta for k in (1, 2) for delta in (-1, 0, 1))]))
+    return name, weights, n
+
+
+def _running_sum_bits(text, weight_of):
+    """The weight sums of ``text`` as one int, summed letter by letter in pure Python."""
+    running = 0
+    mask = bytearray(sum(weight_of[c] for c in text) // 8 + 1)
+    mask[0] = 1
+    for c in text:
+        running += weight_of[c]
+        mask[running >> 3] |= 1 << (running & 7)
+    return int.from_bytes(mask, "little")
+
+
+@given(case=weighted_prefixes())
+@example(case=("thue_morse.morph", (1, 64), PIECE_SIZE // 64 + 1))
+@example(case=("x -> xy, y -> y", (5, 1), PIECE_SIZE // 5))
+@example(case=("sub_xyz.morph", (1, 1, 1), 0))
+@settings(max_examples=60, deadline=None)
+def test_bits_holds_exactly_the_weight_sums(case):
+    name, weights, n = case
+    stream = ORACLE_STREAMS[name]()
+    text = stream.prefix(n)
+    weight_of = dict(zip(stream.alphabet.letters, weights))
+    sumset = weight_sum_prefix(stream, weights, n)
+    assert sumset.bits == _running_sum_bits(text, weight_of)
+    assert sumset.max_value == sum(weight_of[c] for c in text)
+    # every set the scan cuts from a longer one is the set of its own horizon
+    cuts = []
+
+    def recording_head(sums, codes, head=grading._head):
+        cuts.append((codes.size, head(sums, codes)))
+        return cuts[-1][1]
+
+    horizons = (n // 3, n // 2, n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grading, "_head", recording_head)
+        graded_nilpotence_scan(ORACLE_STREAMS[name](), weights, 4, horizons)
+    assert {h for h, _ in cuts} <= set(horizons)
+    for h, cut in cuts:
+        assert cut.bits == weight_sum_prefix(stream, weights, h).bits
 
 
 @pytest.mark.parametrize("name", ["thue_morse.morph", "sub_xyz.morph"])

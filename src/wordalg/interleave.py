@@ -15,7 +15,6 @@ Primed companion letters are represented internally by the uppercase letter
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,24 +39,43 @@ from .words import PIECE_SIZE, Alphabet, Morphism, MorphicStream, PrefixStream, 
 ENUMERATION_ORDER = "sum-length-lex"
 
 
-def _block_ends(total: int) -> np.ndarray:
+def _block(total: int, odd: int) -> tuple[np.ndarray, np.ndarray]:
     """The compositions of ``total`` in (length, lex) order, written one after
     the other as rows of ``total`` units: the position of the last unit of
-    every part, ascending.
+    every part, ascending, and the priming bit of every unit (one uint8 each)
+    when ``odd`` says whether an odd number of parts came before the block.
 
     A composition is the bitmask of its cut points, the top bit standing for
-    cut point 1; within one length, lex order is descending mask order.  A
-    unit ends a part where the next unit starts one (a cut point) and at the
-    end of its row, so the mask shifted left by one with its low bit set marks
-    every part end, and its bits, top first, are the row.
+    cut point 1; within one length, lex order is descending mask order.  With
+    the row's first unit at bit 31, cut point j sits at unit j's bit, and a
+    unit ends a part where the next unit starts one and at the end of its
+    row, so the mask shifted left by one with its low bit set marks every
+    part end.  A unit is primed iff an odd number of part ends come before
+    it.  Within its row, that is the xor of the cut bits at and above its
+    own, which five shift-xors leave in its bit; each row is then flipped by
+    the parity of the parts before it, a composition of c cuts holding c + 1.
     """
     masks = np.arange(2 ** (total - 1) - 1, -1, -1, dtype=np.uint32)
-    masks = masks[np.argsort(np.bitwise_count(masks), kind="stable")]
-    masks <<= 1
-    masks |= 1
+    cuts = np.bitwise_count(masks)
+    order = np.argsort(cuts, kind="stable")
+    masks, cuts = masks[order], cuts[order]
     masks <<= 32 - total  # the row's first unit is bit 31
-    rows = np.unpackbits(masks.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1, count=total)
-    return np.flatnonzero(rows.view(bool))
+    ends = np.flatnonzero(_unpacked_rows(masks << 1 | 1 << (32 - total), total).view(bool))
+    primed = masks
+    for shift in (1, 2, 4, 8, 16):
+        primed ^= primed >> shift
+    flips = np.empty(cuts.size, dtype=np.uint8)  # parity of the parts before each row
+    flips[0] = odd
+    np.bitwise_and(~cuts[:-1], 1, out=flips[1:])
+    np.bitwise_xor.accumulate(flips, out=flips)
+    np.invert(primed, out=primed, where=flips.view(bool))
+    return ends, _unpacked_rows(primed, total)
+
+
+def _unpacked_rows(rows: np.ndarray, width: int) -> np.ndarray:
+    """The top ``width`` bits of each uint32, top first, one uint8 each, row
+    after row."""
+    return np.unpackbits(rows.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1, count=width).ravel()
 
 
 class UniversalSequence:
@@ -66,21 +84,31 @@ class UniversalSequence:
     (sum, length, lex).  Reproducible bit for bit.
 
     Terms are built one sum-block (all compositions of one sum) at a time:
-    the terms of a block are the ends of its parts, ``_block_ends`` offset by
-    the last term before it, so no block is stored as differences.
+    the terms of a block are the ends of its parts, ``_block`` offset by the
+    last term before it, so no block is stored as differences.  The same
+    pull stores the priming bit of every unit u = 0, 1, ..., n_last - 1
+    (odd iff an odd number of terms n_1, n_2, ... are <= u) in ``_primed``,
+    packed eight to a byte, top bit first.
     """
 
     order_tag = ENUMERATION_ORDER
 
     def __init__(self):
         self._values = array("q", [0])
+        self._primed = bytearray()
         self._blocks = 0  # sum-blocks pulled so far
 
     def _pull(self):
         self._blocks += 1
-        ends = _block_ends(self._blocks)
-        ends += self._values[-1] + 1  # a part ending at unit u ends at term offset u + 1
+        start = self._values[-1]  # units before the block
+        ends, primed = _block(self._blocks, (len(self._values) - 1) & 1)
+        ends += start + 1  # a part ending at unit u ends at term offset u + 1
         self._values.frombytes(ends.view(np.uint8))
+        # top up the last byte, which holds start % 8 bits, then append whole bytes
+        head = -start % 8
+        if head:
+            self._primed[-1] |= int(np.packbits(primed[:head])[0]) >> (8 - head)
+        self._primed.extend(np.packbits(primed[head:]))
 
     def ensure_terms(self, count: int):
         """Materialize n_0 .. n_count."""
@@ -164,7 +192,9 @@ class InterleaveSpec:
 
 class InterleaveStream(PrefixStream):
     """Prefixes of the interleaved word over the doubled alphabet, grown
-    ``PIECE_SIZE`` letters at a time."""
+    ``PIECE_SIZE`` letters at a time.  A piece is the base word's codes plus
+    |A| at every primed position; the universal sequence stores the priming
+    bits packed as it pulls its blocks, so a piece only unpacks them."""
 
     def __init__(self, spec: InterleaveSpec):
         super().__init__(spec.alphabet)
@@ -175,13 +205,9 @@ class InterleaveStream(PrefixStream):
         lo, hi = self._length, self._length + PIECE_SIZE
         while seq._values[-1] < hi:
             seq._pull()
-        # position lo lies in segment k = #{j : n_j <= lo}; segment k is primed
-        # exactly for even k, and each cut point inside the piece flips that
-        first = bisect_right(seq._values, lo)
-        flips = np.zeros(hi - lo, dtype=np.uint8)
-        flips[0] = first % 2 == 0
-        flips[np.array(seq._values[first : bisect_left(seq._values, hi, first)]) - lo] = 1
-        primed = np.bitwise_xor.accumulate(flips)
+        skip = lo % 8  # the unit bits of [lo, hi), from the byte that holds unit lo
+        primed = np.frombuffer(seq._primed, np.uint8, (skip + hi - lo + 7) // 8, lo // 8)
+        primed = np.unpackbits(primed, count=skip + hi - lo)[skip:]
         # the doubled alphabet lists each primed companion |A| places after its letter
         primed *= self.spec.base.alphabet.size
         primed += self.spec.base.codes(lo, hi)

@@ -8,7 +8,8 @@ codec: Latin-1 bytes translated through a 256-byte table (or a UTF-32 table
 lookup for letters past Latin-1) one way, the charmap codec the other.  All
 matrix and counting arithmetic in this module is exact integer arithmetic
 (numpy is used only for letter codes, image tables and the packed window
-codes of ``FactorIndex``).
+codes of ``FactorIndex``, whose lengths up to the uint16 limit all read one
+sorted table of the longest such windows).
 """
 
 from __future__ import annotations
@@ -412,17 +413,44 @@ def decode(codes: np.ndarray, letters) -> str:
 # the short factors of a fixed prefix
 
 
+# FactorIndex packs and sorts at most this many windows at a time (2 MB of
+# uint16 codes), so a long text never has one array of all its windows: at
+# 4e6 windows, such an array and its flags (12 MB) set theorem32's peak RSS.
+# On a 2-core VM these runs sort as fast as all 4e6 windows at once; runs of
+# 2^16 are about a fifth slower.
+WINDOW_RUN = 1 << 20
+
+
+def _sorted_distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of ``codes``, ascending; sorts ``codes`` in place."""
+    codes.sort()
+    first = np.empty(codes.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    return codes[first]
+
+
 class FactorIndex:
     """The distinct factors of one fixed text over ``letters``, or of several
     (the union of their factors; no window crosses from one text into the
     next), by length.
 
     Letters are coded by ``encode``.  Each length-k window is packed into one
-    unsigned integer in base max(|A|, 2), which is exact while that base to
-    the k is below 2^63 (``packed_limit``: 62, 31 and 18 for 2, 4 and 10
-    letters); the windows are sorted in place and the distinct ones are
-    decoded once into a cached ``frozenset``.  Longer words are
-    answered by substring search.  Absence only means "not in these texts".
+    unsigned integer in base b = max(|A|, 2), which is exact while b^k is
+    below 2^63 (``packed_limit``: 62, 31 and 18 for 2, 4 and 10 letters);
+    the windows are sorted, a long text's ``WINDOW_RUN`` at a time, and the
+    distinct codes are decoded once into a cached ``frozenset``.  Longer words are answered by substring search.  Absence
+    only means "not in these texts".
+
+    Lengths up to T, the longest whose codes fit in uint16 (16, 10, 8 and 4
+    for 2, 3, 4 and 10 letters), share one window table: the sorted distinct
+    codes of the T-windows, built on the first such query.  A k-window is
+    the first k letters of a T-window, whose code divided by b^(T-k) is the
+    k-window's, unless it starts in a text's last T - 1 letters; those few
+    are packed apart and sorted in with the divided table.  Longer lengths
+    pack and sort their own windows.  Duplicates are dropped by comparing
+    neighbours after each sort, not by ``np.unique`` or ``np.union1d``: the
+    first call of either imports ``numpy.ma``, about 14 ms.
     """
 
     def __init__(self, texts: str | Iterable[str], letters):
@@ -434,6 +462,11 @@ class FactorIndex:
         while self._base ** (limit + 1) < 2**63:
             limit += 1
         self.packed_limit = limit
+        table = 1
+        while self._base ** (table + 1) <= 2**16:
+            table += 1
+        self._table_length = table
+        self._table: np.ndarray | None = None  # sorted distinct codes of the T-windows
         self._digits = [encode(text, letters) for text in self.texts]
         self._sets: dict[int, frozenset[str]] = {0: frozenset({""})}
 
@@ -443,31 +476,41 @@ class FactorIndex:
             raise ValueError(f"lengths 0..{self.packed_limit} are packed, got {k}")
         found = self._sets.get(k)
         if found is None:
-            found = self._sets[k] = self._distinct(k)
+            found = self._sets[k] = self._decoded(self._codes(k), k)
         return found
 
-    def _distinct(self, k: int) -> frozenset[str]:
-        counts = [max(digits.size - k + 1, 0) for digits in self._digits]
-        total = sum(counts)
-        if total == 0:
-            return frozenset()
+    def _codes(self, k: int) -> np.ndarray:
+        """The sorted distinct codes of the length-k windows."""
+        t = self._table_length
+        if k > t:
+            return self._distinct_codes(k, self._digits)
+        if self._table is None:
+            self._table = self._distinct_codes(t, self._digits)
+        tails = [digits[max(digits.size - t + 1, 0) :] for digits in self._digits]
+        return self._distinct_codes(k, tails, self._table // self._base ** (t - k))
+
+    def _distinct_codes(self, k: int, texts: list[np.ndarray], extra=None) -> np.ndarray:
+        """The sorted distinct codes of the length-k windows of ``texts`` (letter
+        codes) and of the codes ``extra``.  Each text's windows are packed
+        ``WINDOW_RUN`` at a time, and a full run is cut to its distinct codes
+        at once, so no array holds every window of a long text; shorter runs
+        wait for the one sort that merges them all."""
         # the narrowest unsigned type that holds every code keeps the windows
         # small; below 16 bits numpy's in-place sort is many times slower
         width = np.promote_types(np.uint16, np.min_scalar_type(self._base**k - 1))
-        codes = np.zeros(total, dtype=width)
-        end = 0
-        for digits, count in zip(self._digits, counts):
-            windows = codes[end : end + count]  # this text's windows, packed in place
-            for j in range(k):
-                windows *= self._base
-                windows += digits[j : j + count]
-            end += count
-        codes.sort()
-        first = np.empty(total, dtype=bool)
-        first[0] = True
-        np.not_equal(codes[1:], codes[:-1], out=first[1:])
-        codes = codes[first]
-        # unpack the last digit first into a (distinct, k) array of positions
+        pieces = [np.zeros(0, dtype=width)] if extra is None else [extra]
+        for digits in texts:
+            for start in range(0, digits.size - k + 1, WINDOW_RUN):
+                windows = np.zeros(min(WINDOW_RUN, digits.size - k + 1 - start), dtype=width)
+                for j in range(start, start + k):
+                    windows *= self._base
+                    windows += digits[j : j + windows.size]
+                pieces.append(_sorted_distinct(windows) if windows.size == WINDOW_RUN else windows)
+        return _sorted_distinct(np.concatenate(pieces))
+
+    def _decoded(self, codes: np.ndarray, k: int) -> frozenset[str]:
+        # unpack the last digit first into a (distinct, k) array of positions;
+        # ``codes`` is the caller's own array and is divided in place
         digits = np.empty((codes.size, k), dtype=np.uint8)
         for j in reversed(range(k)):
             digits[:, j] = codes % self._base
@@ -554,6 +597,7 @@ class CubeCheck:
 
 
 _CUBE = re.compile(r"(.+?)\1\1", re.DOTALL)
+_CUBE_FREE = CubeCheck(True)  # the one answer for every cube-free word
 
 
 def is_cube_free(word: str) -> CubeCheck:
@@ -563,7 +607,7 @@ def is_cube_free(word: str) -> CubeCheck:
     tries every period; the cube view passes it short monomials."""
     match = _CUBE.search(word)
     if match is None:
-        return CubeCheck(True)
+        return _CUBE_FREE
     return CubeCheck(False, match.start() + 1, len(match.group(1)))
 
 

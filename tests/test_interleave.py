@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import warnings
 
@@ -14,7 +15,7 @@ from wordalg.interleave import (
     InterleaveSpec,
     InterleaveStream,
     UniversalSequence,
-    _block_ends,
+    _block,
     base_morphism,
     construction_pipeline,
     locate_pattern,
@@ -58,7 +59,42 @@ def test_oracle_composition_order_is_lex():
 def test_block_differences_match_oracle(total):
     # the part lengths of the block, read off the position of each part's last unit
     block = [d for comp in _oracle_compositions(total) if sum(comp) == total for d in comp]
-    assert np.diff(_block_ends(total), prepend=-1).tolist() == block
+    assert np.diff(_block(total, 0)[0], prepend=-1).tolist() == block
+
+
+def _flip_accumulate_primes(values, lo, hi):
+    """The priming bits of units [lo, hi) from the cut points alone: the flip
+    array and xor-accumulate that built each interleaved piece before the
+    bits were stored with the terms."""
+    first = bisect.bisect_right(values, lo)
+    flips = np.zeros(hi - lo, dtype=np.uint8)
+    flips[0] = first % 2 == 0
+    flips[np.array(values[first : bisect.bisect_left(values, hi, first)], dtype=np.int64) - lo] = 1
+    return np.bitwise_xor.accumulate(flips)
+
+
+def test_packed_primes_match_the_cut_points():
+    # from block 18 on a row holds more than 16 cut bits: the last shift-xor counts
+    seq = UniversalSequence()
+    for total in range(1, 19):
+        seq._pull()
+        units = seq._values[-1]
+        assert len(seq._primed) == (units + 7) // 8
+        primed = np.unpackbits(np.frombuffer(seq._primed, np.uint8))[:units]
+        assert np.array_equal(primed, _flip_accumulate_primes(seq._values, 0, units))
+        # and from a start inside the sequence, as a piece of the interleaved word reads it
+        for lo in {min(1, units - 1), units // 3, units - 1}:
+            assert np.array_equal(primed[lo:], _flip_accumulate_primes(seq._values, lo, units))
+
+
+@pytest.mark.parametrize("odd", [0, 1])
+@pytest.mark.parametrize("total", [1, 2, 5, 13, 18])
+def test_block_primes_flip_with_the_parts_before_it(total, odd):
+    ends, primed = _block(total, odd)
+    cuts = np.zeros(primed.size + 1, dtype=np.uint8)
+    cuts[0] = odd
+    cuts[ends + 1] = 1
+    assert np.array_equal(primed, np.bitwise_xor.accumulate(cuts)[:-1])
 
 
 def _shift_matrix_block_differences(total):
@@ -235,6 +271,15 @@ def test_interleave_stream_builds_about_what_is_asked():
         stream.prefix(n)
         assert stream._length <= n + PIECE_SIZE
         assert base._length <= n + PIECE_SIZE * (1 + longest)
+
+
+@pytest.mark.parametrize("n, terms", [(10_000, 53_249), (4_000_000, 2_359_297)])
+def test_interleave_stream_pulls_the_blocks_it_always_did(n, terms):
+    # the priming bits come with the terms, so a prefix pulls no block more
+    # or less than when the pieces were cut along the terms
+    stream = InterleaveStream(InterleaveSpec(MorphicStream(base_morphism(), BASE_START), UniversalSequence()))
+    stream.prefix(n)
+    assert len(stream.spec.sequence._values) == terms
 
 
 def test_interleaved_prefix_unprimes_to_base(xy_stream, tilde_stream):

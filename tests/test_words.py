@@ -1,5 +1,6 @@
 import itertools
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -434,6 +435,32 @@ def test_factor_index_matches_naive_slice_sets(data):
             assert (word in index) == (word in naive(k))
 
 
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_factor_index_lengths_across_the_window_table(data):
+    # lengths up to T read one table of T-windows and the windows of each
+    # text's last T - 1 letters; lengths past T pack their own windows
+    letters = "".join(data.draw(st.lists(st.sampled_from("xyzwuvab\u2192\U0001f600"), min_size=1, max_size=10, unique=True)))
+    texts = data.draw(st.lists(st.text(alphabet=letters, max_size=60), max_size=3))
+    run = data.draw(st.sampled_from([1, 5, words.WINDOW_RUN]))  # windows sorted at once
+    # T, the longest length whose codes fit in uint16, by alphabet size
+    table = {1: 16, 2: 16, 3: 10, 4: 8, 5: 6, 6: 6, 7: 5, 8: 5, 9: 5, 10: 4}[len(letters)]
+    with mock.patch.object(words, "WINDOW_RUN", run):
+        index = FactorIndex(texts, letters)
+        lengths = list(range(1, min(index.packed_limit, table + 2) + 1))
+        for k in data.draw(st.permutations(lengths)):  # the table is built by whichever comes first
+            assert index.of_length(k) == set().union(*(_naive_factors(text, k) for text in texts))
+    assert index.of_length(0) == {""}
+
+
+def test_factor_index_of_an_interleaved_prefix_matches_slice_sets(tilde_stream):
+    # four letters: lengths up to 8 come from the window table, 9 and 10 do not
+    text = tilde_stream.prefix(200_000)
+    index = FactorIndex(text, tilde_stream.alphabet.letters)
+    for k in range(1, 11):
+        assert index.of_length(k) == _naive_factors(text, k)
+
+
 def test_factor_index_rejects_foreign_letters():
     # a control character must not pass for the letter at its code point
     # ("\x01" read as y made xy and yx factors of x\x01x)
@@ -523,6 +550,8 @@ def test_cube_free_examples(tm_stream):
     assert check.position == 2
     assert check.period == 1
     assert is_cube_free("").is_cube_free
+    # every cube-free word gets the same answer object, made once
+    assert is_cube_free("xyx") is is_cube_free("") == words.CubeCheck(True)
 
 
 def _agrees_with_brute(word):

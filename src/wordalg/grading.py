@@ -22,11 +22,11 @@ The longest AP of difference D at the smallest horizon, m, never exceeds the
 supremum over the whole infinite word, the nilpotency index in degree D.  When
 the stream's covering words (``words.covering_words``) show no longer AP, m is
 that supremum, so the scan reports m at every horizon without reading the
-longer prefixes for that degree.  The scan builds the smallest horizon's
-prefix and sums first, and the largest horizon's only when some degree is left
-open; a stream without covering words (the fixed point of a morphism that is
-not primitive) builds the largest horizon's at once.  Every other horizon's
-set is cut from the largest one built, at that horizon's prefix weight.
+longer prefixes for that degree.  The scan always builds the smallest
+horizon's prefix and sums first, and the largest horizon's only when some
+degree is left open (always, for a stream without covering words: the fixed
+point of a morphism that is not primitive).  Every other horizon's set is cut
+from the largest one, at that horizon's prefix weight.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .words import (
     Morphism,
     NotProlongableError,
     PrefixStream,
+    Substitution,
     analyze_morphism,
     check_weights,
     covering_words,
@@ -73,9 +74,6 @@ class WeightSumSet:
         return self.bits.bit_length() - 1
 
 
-_PAD = 2  # pads the rows of a mask-image table; never a mask byte
-
-
 def _weight(codes: np.ndarray, weights: tuple[int, ...]) -> int:
     """Total weight of the letter codes ``codes``, letter i weighing weights[i]."""
     return sum(int(np.count_nonzero(codes == i)) * w for i, w in enumerate(weights))
@@ -85,32 +83,22 @@ def _text_sums(text: str, letters, weights: tuple[int, ...]) -> WeightSumSet:
     """Weight-sum set of ``text``, letter i of ``letters`` weighing weights[i].
 
     Byte v of its mask is 1 iff v is a weight sum, so the mask is the image
-    of ``text`` under c -> 1 0^(w_c - 1), followed by a final 1.  Like
-    ``MorphicStream._grow``, one gather per piece from a table of the images
-    padded to the longest lays them side by side, and dropping the pads
-    leaves them in order; then the mask is packed to bits.  Beside the text
-    and its codes that is one byte per unit of weight, and no array holds a
-    value per letter.  A piece is PIECE_SIZE bytes of images, or one
-    letter's image, and the rows are cut at the mask's length, so neither a
-    piece nor a row outgrows the mask.  Raises
-    OverflowError when the total weight does not fit in int64, and
-    MemoryError when the mask does not fit in memory."""
+    of ``text`` under the ``Substitution`` c -> 1 0^(w_c - 1), followed by a
+    final 1, packed to bits.  It is built a piece at a time: PIECE_SIZE bytes
+    of images, or one letter's image.  Images are cut at the mask's length,
+    so neither a piece nor an image outgrows the mask, and no array holds a
+    value per letter.  Raises OverflowError when the total weight does not
+    fit in int64, and MemoryError when the mask does not fit in memory."""
     codes = encode(text, letters)
     total = _weight(codes, weights)
     if total >= 2**63:
         raise OverflowError(f"total weight {total} of {codes.size} letters exceeds int64")
     mask = np.empty(total + 1, dtype=np.uint8)
     # a letter heavier than the whole text does not occur in it
-    width = min(max(weights), total + 1)
-    table = np.full((len(weights), width), _PAD, dtype=np.uint8)
-    for row, w in zip(table, weights):
-        row[:w] = 0
-    table[:, 0] = 1
-    images = table.view(np.dtype((np.void, width))).ravel()
-    step, end = max(PIECE_SIZE // width, 1), 0
+    substitution = Substitution([b"\1".ljust(min(w, total + 1), b"\0") for w in weights])
+    step, end = max(PIECE_SIZE // substitution.width, 1), 0
     for start in range(0, codes.size, step):
-        image = images.take(codes[start : start + step]).view(np.uint8)
-        image = image[image != _PAD]
+        image = substitution(codes[start : start + step])
         mask[end : end + image.size] = image
         end += image.size
     mask[end] = 1
@@ -334,33 +322,28 @@ def check_horizons(horizons) -> tuple[int, ...]:
 def graded_nilpotence_scan(stream: PrefixStream, weights, d_max: int, horizons) -> ScanReport:
     """Longest-AP lengths per difference and horizon; a difference is flagged when
     its AP length grows with the horizon (empirical failure of graded nilpotence
-    in that degree).  A difference whose length at the smallest horizon passes
-    ``is_ap_supremum`` keeps that length at every horizon.  The larger
-    horizons' prefix and sums are built only when some difference does not
-    pass, or the stream has no covering words (``words.has_covering_words``);
-    the sets of the horizons between are cut from the largest (``_head``)."""
+    in that degree).  The smallest horizon is read first, and a difference
+    whose length there passes ``is_ap_supremum`` keeps that length at every
+    horizon; a stream without covering words (``words.has_covering_words``)
+    settles none.  The largest horizon is built only when some difference
+    is left open, and the horizons between are cut from it (``_head``)."""
     horizons = check_horizons(horizons)
     if d_max < 1:
         raise ValueError("d_max must be positive")
-    # the covering words settle a degree for good, so the smallest horizon is
-    # read first; a word without them reads the largest at once
-    coverable = len(horizons) > 1 and has_covering_words(stream)
-    sums = weight_sum_prefix(stream, weights, horizons[0] if coverable else horizons[-1])
-    # the sums of a prefix are the head of the sums of any longer prefix
-    first_sums = sums if coverable else _head(sums, stream.codes(0, horizons[0]))
-    first = {d: longest_ap(first_sums, d) for d in range(1, d_max + 1)}
+    sums = weight_sum_prefix(stream, weights, horizons[0])
+    first = {d: longest_ap(sums, d) for d in range(1, d_max + 1)}
     # an AP longer than first[d] would span at most span[d] letters; a span
     # past the smallest horizon would make the check cost more than its scan
     span = {d: m * d // min(sums.weights) for d, m in first.items()}
-    candidates = [d for d in first if span[d] <= horizons[0]] if coverable else []
+    candidates = [d for d in first if span[d] <= horizons[0]] if has_covering_words(stream) else []
     settled = set()
     if candidates:
         covers = covering_sums(stream, sums.weights, max(span[d] for d in candidates))
         settled = {d for d in candidates if is_ap_supremum(covers, d, first[d])}
     later: list[WeightSumSet] = []  # the larger horizons, read only for an open degree
     if len(settled) < len(first) and len(horizons) > 1:
-        if coverable:
-            sums = weight_sum_prefix(stream, weights, horizons[-1])
+        # the sums of a prefix are the head of the sums of any longer prefix
+        sums = weight_sum_prefix(stream, weights, horizons[-1])
         later = [*(_head(sums, stream.codes(0, h)) for h in horizons[1:-1]), sums]
     table: dict[int, tuple[int, ...]] = {}
     flagged = []

@@ -112,6 +112,8 @@ class UniversalSequence:
 
     def ensure_terms(self, count: int):
         """Materialize n_0 .. n_count."""
+        if count < 0:
+            raise ValueError("term counts and positions must be nonnegative")
         while len(self._values) <= count:
             self._pull()
 

@@ -52,6 +52,8 @@ class ThueMorseSequence:
 
     def bits(self, n: int) -> np.ndarray:
         """The first n bits m_1..m_n as a uint8 array of 0s and 1s."""
+        if n < 0:
+            raise ValueError("length must be nonnegative")
         while self._bits.size < n:
             self._bits = np.concatenate([self._bits, 1 - self._bits])
         return self._bits[:n]

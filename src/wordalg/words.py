@@ -300,21 +300,35 @@ PIECE_SIZE = 65_536
 _NO_LETTER = 255  # pads the rows of an image table; never a letter code
 
 
+class Substitution:
+    """Sends a run of uint8 codes to their ``images`` (byte strings, the
+    image of code c at ``images[c]``) laid end to end, in one gather.
+
+    ``_table`` holds one ``np.void`` item per code: its image padded with
+    ``_NO_LETTER``, which no image may hold, to the longest, ``width``.
+    Taking a run's items lays the padded images side by side; dropping the
+    pads leaves the images in order.
+    """
+
+    def __init__(self, images):
+        self.width = max(1, *map(len, images))
+        table = b"".join(image.ljust(self.width, bytes([_NO_LETTER])) for image in images)
+        self._table = np.frombuffer(table, np.dtype((np.void, self.width)))
+
+    def __call__(self, codes: np.ndarray) -> np.ndarray:
+        image = self._table.take(codes).view(np.uint8)
+        return image[image != _NO_LETTER]
+
+
 class MorphicStream(PrefixStream):
     """Prefixes of the fixed point w of a morphism f prolongable on ``start``.
 
     w = f(w) = f(w_0) f(w_1) f(w_2) ..., so the stream starts from f(start)
-    and each growth applies f to the next ``PIECE_SIZE`` letters of its own
-    codes.  The codes are always f of the letters read so far, and they stay
-    longer than them: were |f(w_0 ... w_(r-1))| = r, f would fix that finite
-    prefix and the fixed point would be finite.  A prefix of n letters builds
-    little more than n.
-
-    f is applied to a piece by one gather from ``_images``, which holds one
-    ``np.void`` item per letter: the codes of f(letter c), padded with
-    ``_NO_LETTER`` to the longest image.  Taking a piece's items and reading
-    them back as bytes lays the padded images side by side; dropping the pads
-    leaves the images in order.
+    and each growth applies f (a ``Substitution``) to the next
+    ``PIECE_SIZE`` letters of its own codes.  The codes are always f of the
+    letters read so far, and they stay longer than them: were
+    |f(w_0 ... w_(r-1))| = r, f would fix that finite prefix and the fixed
+    point would be finite.  A prefix of n letters builds little more than n.
     """
 
     def __init__(self, morphism: Morphism, start: str):
@@ -324,12 +338,7 @@ class MorphicStream(PrefixStream):
         self.morphism = morphism
         self.start = start
         letters = morphism.alphabet.letters
-        images = [morphism.images[c] for c in letters]
-        width = max(map(len, images))
-        table = np.full((len(letters), width), _NO_LETTER, dtype=np.uint8)
-        for row, image in zip(table, images):
-            row[: len(image)] = encode(image, letters)
-        self._images = table.view(np.dtype((np.void, width))).ravel()
+        self._substitution = Substitution([encode(morphism.images[c], letters).tobytes() for c in letters])
         self._append(encode(morphism.images[start], letters))
         self._read = 1  # letters of the codes whose images the codes hold
 
@@ -337,8 +346,7 @@ class MorphicStream(PrefixStream):
         while True:
             piece = self._codes[self._read : self._length][:PIECE_SIZE]
             self._read += piece.size
-            image = self._images.take(piece).view(np.uint8)
-            image = image[image != _NO_LETTER]
+            image = self._substitution(piece)
             if image.size:  # pieces of mortal letters have empty images
                 return image
 
@@ -421,6 +429,14 @@ def decode(codes: np.ndarray, letters) -> str:
 WINDOW_RUN = 1 << 20
 
 
+def _longest_power(base: int, bound: int) -> int:
+    """The largest k with base^k <= bound."""
+    k = 0
+    while base ** (k + 1) <= bound:
+        k += 1
+    return k
+
+
 def _sorted_distinct(codes: np.ndarray) -> np.ndarray:
     """The distinct values of ``codes``, ascending; sorts ``codes`` in place."""
     codes.sort()
@@ -458,14 +474,8 @@ class FactorIndex:
         self.texts = (texts,) if isinstance(texts, str) else tuple(texts)
         self.letters = letters
         self._base = max(len(letters), 2)
-        limit = 0
-        while self._base ** (limit + 1) < 2**63:
-            limit += 1
-        self.packed_limit = limit
-        table = 1
-        while self._base ** (table + 1) <= 2**16:
-            table += 1
-        self._table_length = table
+        self.packed_limit = _longest_power(self._base, 2**63 - 1)
+        self._table_length = _longest_power(self._base, 2**16)
         self._table: np.ndarray | None = None  # sorted distinct codes of the T-windows
         self._digits = [encode(text, letters) for text in self.texts]
         self._sets: dict[int, frozenset[str]] = {0: frozenset({""})}

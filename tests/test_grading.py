@@ -144,8 +144,8 @@ def test_longest_ap_of_an_interval_lands_on_each_side_of_a_power_of_two(k, d):
 
 
 # the fixed points the weight-sum oracle reads; x -> xy, y -> y is not
-# primitive, so the scan builds its largest horizon first and cuts every
-# smaller one from it
+# primitive, so the scan settles no degree and cuts every horizon between
+# the smallest and the largest from the largest
 ORACLE_STREAMS = {
     **{name: lambda name=name: _bundled_stream(name)[0] for name in BUNDLED_SPECS},
     "x -> xy, y -> y": lambda: MorphicStream(make_morphism("xy", x="xy", y="y"), "x"),
@@ -177,6 +177,15 @@ def _running_sum_bits(text, weight_of):
         running += weight_of[c]
         mask[running >> 3] |= 1 << (running & 7)
     return int.from_bytes(mask, "little")
+
+
+@given(text=st.text(alphabet="xyz", max_size=20), weights=st.tuples(*[st.integers(1, 50)] * 3))
+@example(text="xx", weights=(1, 40, 3))  # y outweighs the whole text: its image is cut to 3 bytes
+@example(text="", weights=(2, 3, 4))
+@settings(max_examples=100, deadline=None)
+def test_text_sums_match_running_sums_when_a_letter_outweighs_the_text(text, weights):
+    weight_of = dict(zip("xyz", weights))
+    assert grading._text_sums(text, "xyz", weights).bits == _running_sum_bits(text, weight_of)
 
 
 @given(case=weighted_prefixes())
@@ -453,18 +462,32 @@ def test_scan_matches_a_longest_ap_per_horizon(case):
         assert report.table[d] == tuple(longest_ap(weight_sum_prefix(stream, weights, h), d) for h in horizons)
 
 
-@pytest.mark.parametrize("name", ["sub_xyz.morph", "thue_morse.morph"])
-def test_scan_builds_only_the_horizons_it_reads(name):
-    # every sub_xyz degree up to 12 settles at the smallest horizon; the
-    # Thue-Morse degrees 3, 6, 9 and 12 never settle
-    stream, weights = _bundled_stream(name)
+# the horizons each scan builds: every sub_xyz degree up to 12 settles at
+# the smallest horizon; the Thue-Morse degrees 3, 6, 9 and 12 never settle,
+# and x -> xy, y -> y has no covering words to settle any
+SCAN_READS = {"sub_xyz.morph": 1, "thue_morse.morph": 2, "x -> xy, y -> y": 2}
+
+
+@pytest.mark.parametrize("name", SCAN_READS)
+def test_scan_builds_only_the_horizons_it_reads(name, monkeypatch):
+    reads = SCAN_READS[name]
+    stream, weights = _bundled_stream(name) if name in BUNDLED_SPECS else (ORACLE_STREAMS[name](), (1, 2))
     horizons = (2000, 200_000)
-    report = graded_nilpotence_scan(stream, weights, 12, horizons)
-    if name == "sub_xyz.morph":
+    built = []
+
+    def recording_sums(stream, weights, n, build=grading.weight_sum_prefix):
+        built.append(n)
+        return build(stream, weights, n)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(grading, "weight_sum_prefix", recording_sums)
+        report = graded_nilpotence_scan(stream, weights, 12, horizons)
+    assert built == [horizons[0], horizons[-1]][:reads]
+    if reads == 1:
         assert stream._length < horizons[-1] // 10
     else:
         assert stream._length >= horizons[-1]
-    fresh, _ = _bundled_stream(name)
+    fresh = ORACLE_STREAMS[name]()
     for d in range(1, 13):
         assert report.table[d] == tuple(longest_ap(weight_sum_prefix(fresh, weights, h), d) for h in horizons)
 

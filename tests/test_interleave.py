@@ -142,6 +142,17 @@ def test_universal_sequence_reproducible():
     assert a.order_tag == b.order_tag == "sum-length-lex"
 
 
+def test_universal_sequence_rejects_negative_counts_and_positions():
+    # a negative count or position would read from the end of the cached terms
+    seq = UniversalSequence()
+    seq.ensure_terms(100)
+    for read in (lambda: seq.value(-1), lambda: seq.values(-2), lambda: seq.differences(-5),
+                 lambda: seq.ensure_terms(-1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            read()
+    assert seq.values(0) == (0,) and seq.differences(0) == ()
+
+
 def test_locate_pattern_examples():
     seq = UniversalSequence()
     assert locate_pattern(seq, (1,)) == 0

@@ -50,6 +50,16 @@ def test_bit_oracle_matches_cache():
     assert all(int(bits[i - 1]) == thue_morse_bit(i) for i in range(1, 4001))
 
 
+def test_bits_reject_negative_lengths():
+    # a negative length would read from the end of the cached bits
+    tm = ThueMorseSequence()
+    assert tm.bits(4096).size == 4096
+    for read in (lambda: tm.bits(-3), lambda: tm.word_prefix(-1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            read()
+    assert tm.bits(0).size == 0 and tm.word_prefix(0) == ""
+
+
 def test_bits_match_substitution_word():
     tm = ThueMorseSequence()
     n = 100_000

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wordalg import words
@@ -16,6 +16,7 @@ from wordalg.words import (
     NotProlongableError,
     PeriodicStream,
     SuffixAutomaton,
+    Substitution,
     analyze_morphism,
     covering_words,
     decode,
@@ -285,6 +286,29 @@ def test_morphic_stream_matches_iterated_images(m, piece_size, lengths):
         stream = MorphicStream(m, "x")
         for n in [*lengths, 300]:
             assert stream.prefix(n) == reference[:n]
+
+
+@st.composite
+def substitution_cases(draw):
+    """A morphism over 1-3 letters whose images have 0-4 letters (an empty
+    image makes a mortal letter), and a word over its letters."""
+    letters = "xyz"[: draw(st.integers(1, 3))]
+    m = make_morphism(letters, **{c: draw(st.text(alphabet=letters, max_size=4)) for c in letters})
+    return m, draw(st.text(alphabet=letters, max_size=30))
+
+
+@given(case=substitution_cases())
+@example(case=(MORTAL_Z, "zzzz"))  # a run of mortal letters only
+@example(case=(make_morphism("xy", x="", y=""), "xyyx"))  # every image empty
+@example(case=(MORTAL_Z, ""))
+@settings(max_examples=100, deadline=None)
+def test_substitution_matches_morphism_apply(case):
+    m, word = case
+    letters = m.alphabet.letters
+    substitution = Substitution([encode(m.images[c], letters).tobytes() for c in letters])
+    image = substitution(encode(word, letters))
+    assert image.dtype == np.uint8
+    assert decode(image, letters) == m.apply(word)
 
 
 @pytest.mark.parametrize("period", ["x", "xy", "xyzzy"])

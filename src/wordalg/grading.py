@@ -26,7 +26,9 @@ longer prefixes for that degree.  The scan always builds the smallest
 horizon's prefix and sums first, and the largest horizon's only when some
 degree is left open (always, for a stream without covering words: the fixed
 point of a morphism that is not primitive).  Every other horizon's set is cut
-from the largest one, at that horizon's prefix weight.
+from the largest one, at that horizon's prefix weight.  A length that grows
+is checked the same way at the largest horizon, and a difference that passes
+there is bounded, so it is not flagged.
 """
 
 from __future__ import annotations
@@ -319,34 +321,42 @@ def check_horizons(horizons) -> tuple[int, ...]:
     return horizons
 
 
+def _supremum_degrees(stream: PrefixStream, weights: tuple[int, ...], lengths: dict[int, int], horizon: int) -> set[int]:
+    """The differences d whose length ``lengths[d]`` passes ``is_ap_supremum``,
+    checked only where an AP one term longer would span at most ``horizon``
+    letters, since a longer span would make the check cost more than the
+    scan; none for a stream without covering words."""
+    span = {d: m * d // min(weights) for d, m in lengths.items()}
+    candidates = [d for d in lengths if span[d] <= horizon] if has_covering_words(stream) else []
+    if not candidates:
+        return set()
+    covers = covering_sums(stream, weights, max(span[d] for d in candidates))
+    return {d for d in candidates if is_ap_supremum(covers, d, lengths[d])}
+
+
 def graded_nilpotence_scan(stream: PrefixStream, weights, d_max: int, horizons) -> ScanReport:
     """Longest-AP lengths per difference and horizon; a difference is flagged when
     its AP length grows with the horizon (empirical failure of graded nilpotence
-    in that degree).  The smallest horizon is read first, and a difference
-    whose length there passes ``is_ap_supremum`` keeps that length at every
-    horizon; a stream without covering words (``words.has_covering_words``)
-    settles none.  The largest horizon is built only when some difference
-    is left open, and the horizons between are cut from it (``_head``)."""
+    in that degree) and the covering check does not prove its length at the
+    largest horizon to be the supremum.  The smallest horizon is read first,
+    and a difference whose length there passes ``is_ap_supremum`` keeps that
+    length at every horizon; a stream without covering words
+    (``words.has_covering_words``) settles none.  The largest horizon is
+    built only when some difference is left open, and the horizons between
+    are cut from it (``_head``)."""
     horizons = check_horizons(horizons)
     if d_max < 1:
         raise ValueError("d_max must be positive")
     sums = weight_sum_prefix(stream, weights, horizons[0])
     first = {d: longest_ap(sums, d) for d in range(1, d_max + 1)}
-    # an AP longer than first[d] would span at most span[d] letters; a span
-    # past the smallest horizon would make the check cost more than its scan
-    span = {d: m * d // min(sums.weights) for d, m in first.items()}
-    candidates = [d for d in first if span[d] <= horizons[0]] if has_covering_words(stream) else []
-    settled = set()
-    if candidates:
-        covers = covering_sums(stream, sums.weights, max(span[d] for d in candidates))
-        settled = {d for d in candidates if is_ap_supremum(covers, d, first[d])}
+    settled = _supremum_degrees(stream, sums.weights, first, horizons[0])
     later: list[WeightSumSet] = []  # the larger horizons, read only for an open degree
     if len(settled) < len(first) and len(horizons) > 1:
         # the sums of a prefix are the head of the sums of any longer prefix
         sums = weight_sum_prefix(stream, weights, horizons[-1])
         later = [*(_head(sums, stream.codes(0, h)) for h in horizons[1:-1]), sums]
     table: dict[int, tuple[int, ...]] = {}
-    flagged = []
+    growing = {}
     for d, m in first.items():
         if d in settled:
             lengths = (m,) * len(horizons)
@@ -354,5 +364,7 @@ def graded_nilpotence_scan(stream: PrefixStream, weights, d_max: int, horizons) 
             lengths = (m, *(longest_ap(s, d) for s in later))
         table[d] = lengths
         if lengths[-1] > GROWTH_RATIO * lengths[0] and lengths[-1] > GROWTH_FLOOR:
-            flagged.append(d)
-    return ScanReport(tuple(weights), horizons, table, tuple(flagged))
+            growing[d] = lengths[-1]
+    # a growing length may have reached its supremum past the smallest horizon
+    bounded = _supremum_degrees(stream, sums.weights, growing, horizons[-1])
+    return ScanReport(tuple(weights), horizons, table, tuple(d for d in growing if d not in bounded))

@@ -14,7 +14,6 @@ Primed companion letters are represented internally by the uppercase letter
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,10 +38,16 @@ from .words import PIECE_SIZE, Alphabet, Morphism, MorphicStream, PrefixStream, 
 ENUMERATION_ORDER = "sum-length-lex"
 
 
-def _block(total: int, odd: int) -> tuple[np.ndarray, np.ndarray]:
-    """The compositions of ``total`` in (length, lex) order, written one after
-    the other as rows of ``total`` units: the position of the last unit of
-    every part, ascending, and the priming bit of every unit (one uint8 each)
+# rows of a sum-block handled at once: only the block's sorted cut masks
+# (four bytes a row, and the sort's int64 order while it runs) grow with the
+# block, not its parts, part ends or unpacked units
+SLICE_ROWS = 2**13
+
+
+def _block(total: int, odd: int):
+    """The compositions of ``total`` in (length, lex) order, at most
+    ``SLICE_ROWS`` at a time: for each slice, the length of every part, one
+    byte each, and the priming bit of every unit of its rows (one uint8 each)
     when ``odd`` says whether an odd number of parts came before the block.
 
     A composition is the bitmask of its cut points, the top bit standing for
@@ -56,20 +61,23 @@ def _block(total: int, odd: int) -> tuple[np.ndarray, np.ndarray]:
     the parity of the parts before it, a composition of c cuts holding c + 1.
     """
     masks = np.arange(2 ** (total - 1) - 1, -1, -1, dtype=np.uint32)
-    cuts = np.bitwise_count(masks)
-    order = np.argsort(cuts, kind="stable")
-    masks, cuts = masks[order], cuts[order]
+    masks = masks[np.argsort(np.bitwise_count(masks), kind="stable")]
     masks <<= 32 - total  # the row's first unit is bit 31
-    ends = np.flatnonzero(_unpacked_rows(masks << 1 | 1 << (32 - total), total).view(bool))
-    primed = masks
-    for shift in (1, 2, 4, 8, 16):
-        primed ^= primed >> shift
-    flips = np.empty(cuts.size, dtype=np.uint8)  # parity of the parts before each row
-    flips[0] = odd
-    np.bitwise_and(~cuts[:-1], 1, out=flips[1:])
-    np.bitwise_xor.accumulate(flips, out=flips)
-    np.invert(primed, out=primed, where=flips.view(bool))
-    return ends, _unpacked_rows(primed, total)
+    for lo in range(0, masks.size, SLICE_ROWS):
+        rows = masks[lo : lo + SLICE_ROWS]
+        cuts = np.bitwise_count(rows)
+        ends = np.flatnonzero(_unpacked_rows(rows << 1 | 1 << (32 - total), total).view(bool))
+        parts = np.diff(ends, prepend=-1).astype(np.uint8)
+        primed = rows.copy()
+        for shift in (1, 2, 4, 8, 16):
+            primed ^= primed >> shift
+        flips = np.empty(cuts.size, dtype=np.uint8)  # parity of the parts before each row
+        flips[0] = odd
+        np.bitwise_and(~cuts[:-1], 1, out=flips[1:])
+        np.bitwise_xor.accumulate(flips, out=flips)
+        np.invert(primed, out=primed, where=flips.view(bool))
+        odd = int(flips[-1] ^ ~cuts[-1] & 1)  # parity of the parts before the next slice
+        yield parts, _unpacked_rows(primed, total)
 
 
 def _unpacked_rows(rows: np.ndarray, width: int) -> np.ndarray:
@@ -78,37 +86,45 @@ def _unpacked_rows(rows: np.ndarray, width: int) -> np.ndarray:
     return np.unpackbits(rows.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1, count=width).ravel()
 
 
+# the largest sum-block: its cut masks are uint32 and its parts one byte each
+MAX_BLOCK = 32
+
+
 class UniversalSequence:
     """Increasing integers n_0 = 0 < n_1 < ... whose consecutive differences are
     the concatenation of every finite positive-integer sequence, enumerated by
     (sum, length, lex).  Reproducible bit for bit.
 
-    Terms are built one sum-block (all compositions of one sum) at a time:
-    the terms of a block are the ends of its parts, ``_block`` offset by the
-    last term before it, so no block is stored as differences.  The same
-    pull stores the priming bit of every unit u = 0, 1, ..., n_last - 1
-    (odd iff an odd number of terms n_1, n_2, ... are <= u) in ``_primed``,
-    packed eight to a byte, top bit first.
+    The sequence stores one byte per term: ``_values`` holds n_0 = 0 and then
+    the parts n_i - n_(i-1), whose running sums are the terms.  It is pulled
+    one sum-block (all compositions of one sum) at a time, and each block a
+    bounded slice of rows at a time (``_block``), so no array of terms or of
+    a block's parts is ever built.  The same pull stores the priming bit of
+    every unit u = 0, 1, ..., n_last - 1 (odd iff an odd number of terms
+    n_1, n_2, ... are <= u) in ``_primed``, packed eight to a byte, top bit
+    first.  Sum-blocks past ``MAX_BLOCK`` raise OverflowError.
     """
 
     order_tag = ENUMERATION_ORDER
 
     def __init__(self):
-        self._values = array("q", [0])
+        self._values = bytearray(1)  # n_0 = 0, then one part per term
         self._primed = bytearray()
+        self._units = 0  # n_last, the units pulled so far
         self._blocks = 0  # sum-blocks pulled so far
 
     def _pull(self):
+        if self._blocks >= MAX_BLOCK:
+            raise OverflowError(f"sum-block {self._blocks + 1} is past the largest, {MAX_BLOCK}")
         self._blocks += 1
-        start = self._values[-1]  # units before the block
-        ends, primed = _block(self._blocks, (len(self._values) - 1) & 1)
-        ends += start + 1  # a part ending at unit u ends at term offset u + 1
-        self._values.frombytes(ends.view(np.uint8))
-        # top up the last byte, which holds start % 8 bits, then append whole bytes
-        head = -start % 8
-        if head:
-            self._primed[-1] |= int(np.packbits(primed[:head])[0]) >> (8 - head)
-        self._primed.extend(np.packbits(primed[head:]))
+        for parts, primed in _block(self._blocks, (len(self._values) - 1) & 1):
+            self._values.extend(parts)
+            # top up the last byte, which holds units % 8 bits, then append whole bytes
+            head = -self._units % 8
+            if head:
+                self._primed[-1] |= int(np.packbits(primed[:head])[0]) >> (8 - head)
+            self._primed.extend(np.packbits(primed[head:]))
+            self._units += primed.size
 
     def ensure_terms(self, count: int):
         """Materialize n_0 .. n_count."""
@@ -117,40 +133,50 @@ class UniversalSequence:
         while len(self._values) <= count:
             self._pull()
 
+    def _parts(self, count: int) -> np.ndarray:
+        """n_0 and the first ``count`` parts, a view of ``_values``."""
+        self.ensure_terms(count)
+        return np.frombuffer(self._values, np.uint8, count + 1)
+
     def value(self, i: int) -> int:
-        self.ensure_terms(i)
-        return self._values[i]
+        return int(self._parts(i).sum(dtype=np.int64))
 
     def values(self, count: int) -> tuple[int, ...]:
-        self.ensure_terms(count)
-        return tuple(self._values[: count + 1])
+        return tuple(np.cumsum(self._parts(count), dtype=np.int64).tolist())
 
     def differences(self, count: int) -> tuple[int, ...]:
         """n_1 - n_0, ..., n_count - n_(count-1)."""
         self.ensure_terms(count)
-        return tuple(np.diff(self._values[: count + 1]).tolist())
+        return tuple(self._values[1 : count + 1])
 
 
 def locate_pattern(seq: UniversalSequence, pattern, parity: int | None = None) -> int:
     """Smallest m with pattern equal to the differences at positions m+1..m+len.
 
     ``parity`` restricts the search to even (0) or odd (1) m; the sequence is
-    extended on demand, so the search always terminates.
+    extended on demand, so the search always terminates.  It searches the
+    stored parts as bytes, and an entry above ``MAX_BLOCK``, which first
+    occurs in a later sum-block, raises OverflowError.
     """
     pattern = tuple(int(a) for a in pattern)
     if not pattern or any(a < 1 for a in pattern):
         raise ValueError("pattern must be a nonempty sequence of positive integers")
     if parity not in (None, 0, 1):
         raise ValueError("parity must be None, 0 or 1")
-    s = len(pattern)
-    first, step = (0, 1) if parity is None else (parity, 2)
-    count = s  # differences read at once, doubled until the pattern is among them
+    if max(pattern) > MAX_BLOCK:
+        raise OverflowError(f"pattern entry {max(pattern)} first occurs past sum-block {MAX_BLOCK}")
+    needle = bytes(pattern)
+    seq.ensure_terms(len(needle))
+    start = 1  # the part of n_m+1 sits at index m + 1; index 0 is n_0
     while True:
-        diffs = seq.differences(count)
-        for m in range(first, count - s + 1, step):
-            if diffs[m : m + s] == pattern:
-                return m
-        count *= 2
+        parts = seq._values
+        hit = parts.find(needle, start)
+        while hit != -1 and parity is not None and hit % 2 == parity:
+            hit = parts.find(needle, hit + 1)
+        if hit != -1:
+            return hit - 1
+        start = max(start, len(parts) - len(needle) + 1)
+        seq.ensure_terms(len(parts))  # one more sum-block, about twice the terms
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +231,7 @@ class InterleaveStream(PrefixStream):
     def _grow(self) -> np.ndarray:
         seq = self.spec.sequence
         lo, hi = self._length, self._length + PIECE_SIZE
-        while seq._values[-1] < hi:
+        while seq._units < hi:
             seq._pull()
         skip = lo % 8  # the unit bits of [lo, hi), from the byte that holds unit lo
         primed = np.frombuffer(seq._primed, np.uint8, (skip + hi - lo + 7) // 8, lo // 8)

@@ -114,6 +114,18 @@ def test_scan_command_certified(sub_xy_file, capsys):
     assert rec["flagged"] == ""
 
 
+def test_scan_command_certified_flags_no_degree_its_covering_check_bounds(capsys):
+    # at 1e5 every degree up to 200 of x -> xy, y -> yyx has reached its
+    # supremum and the covering words prove it, so lengths that grew from
+    # their 1e3 values flag nothing; degree 54 grows 13 -> 22
+    code = run(["scan", "--spec", str(REPO_MORPHISMS / "sub_xy.morph"), "--weights", "1,2", "--dmax", "200",
+                "--horizons", "1000,100000"])
+    out, rec = _record(capsys)
+    assert code == 0
+    assert rec["flagged"] == ""
+    assert rec["ap_lengths_d54"] == "13,22"
+
+
 def test_free_command_cubes(capsys):
     code = run([
         "free", "--view", "cubes", "--letters", "xyzw",

@@ -462,6 +462,40 @@ def test_scan_matches_a_longest_ap_per_horizon(case):
         assert report.table[d] == tuple(longest_ap(weight_sum_prefix(stream, weights, h), d) for h in horizons)
 
 
+def _certified_binary_morphisms():
+    """Every morphism on x, y prolongable on x with images of at most three
+    letters, with weights 1-3, that certify accepts."""
+    words = ["".join(p) for n in (1, 2, 3) for p in itertools.product("xy", repeat=n)]
+    cases = []
+    for x_image, y_image in itertools.product(words[:6], words):
+        m = make_morphism("xy", x="x" + x_image, y=y_image)
+        for weights in itertools.product((1, 2, 3), repeat=2):
+            if is_primitive(m) and certify_graded_nilpotence(m, "x", weights).certified:
+                cases.append((m, weights))
+    return cases
+
+
+@given(drawn=st.sampled_from(_certified_binary_morphisms()), d_max=st.integers(1, 60),
+       horizons=st.lists(st.integers(10, 5000), min_size=2, max_size=2, unique=True).map(sorted))
+# degrees 54, 110, 114, 161, 179 and 199 reach their suprema between the
+# horizons; 89, 123, 152 and 178 have not reached theirs at 1e4, and the
+# span of 144's length there, 11,664 letters, is past 1e4
+@example(drawn=parse_morphism_spec((MORPHISMS / "sub_xy.morph").read_text(encoding="utf-8")), d_max=200,
+         horizons=(1000, 10_000))
+@example(drawn=parse_morphism_spec((MORPHISMS / "sub_xyz.morph").read_text(encoding="utf-8")), d_max=200,
+         horizons=(1000, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_scan_flags_no_degree_that_the_covering_check_settles(drawn, d_max, horizons):
+    m, weights = drawn
+    assert certify_graded_nilpotence(m, "x", weights).certified
+    stream = MorphicStream(m, "x")
+    report = graded_nilpotence_scan(stream, weights, d_max, horizons)
+    for d in report.flagged:
+        longest = report.table[d][-1]
+        span = longest * d // min(weights)
+        assert span > horizons[-1] or not is_ap_supremum(covering_sums(stream, weights, span), d, longest)
+
+
 # the horizons each scan builds: every sub_xyz degree up to 12 settles at
 # the smallest horizon; the Thue-Morse degrees 3, 6, 9 and 12 never settle,
 # and x -> xy, y -> y has no covering words to settle any

@@ -1,5 +1,6 @@
 import bisect
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -55,11 +56,17 @@ def test_oracle_composition_order_is_lex():
     assert comps == by_key
 
 
+def _whole_block(total, odd):
+    """The part lengths and priming bits of one sum-block, its slices joined."""
+    parts, primed = zip(*_block(total, odd))
+    return np.concatenate(parts), np.concatenate(primed)
+
+
 @pytest.mark.parametrize("total", range(1, 15))
 def test_block_differences_match_oracle(total):
-    # the part lengths of the block, read off the position of each part's last unit
+    # the part lengths of the block, its slices joined
     block = [d for comp in _oracle_compositions(total) if sum(comp) == total for d in comp]
-    assert np.diff(_block(total, 0)[0], prepend=-1).tolist() == block
+    assert _whole_block(total, 0)[0].tolist() == block
 
 
 def _flip_accumulate_primes(values, lo, hi):
@@ -78,19 +85,23 @@ def test_packed_primes_match_the_cut_points():
     seq = UniversalSequence()
     for total in range(1, 19):
         seq._pull()
-        units = seq._values[-1]
+        values = seq.values(len(seq._values) - 1)
+        units = values[-1]
+        assert seq._units == units
         assert len(seq._primed) == (units + 7) // 8
         primed = np.unpackbits(np.frombuffer(seq._primed, np.uint8))[:units]
-        assert np.array_equal(primed, _flip_accumulate_primes(seq._values, 0, units))
+        assert np.array_equal(primed, _flip_accumulate_primes(values, 0, units))
         # and from a start inside the sequence, as a piece of the interleaved word reads it
         for lo in {min(1, units - 1), units // 3, units - 1}:
-            assert np.array_equal(primed[lo:], _flip_accumulate_primes(seq._values, lo, units))
+            assert np.array_equal(primed[lo:], _flip_accumulate_primes(values, lo, units))
 
 
 @pytest.mark.parametrize("odd", [0, 1])
 @pytest.mark.parametrize("total", [1, 2, 5, 13, 18])
 def test_block_primes_flip_with_the_parts_before_it(total, odd):
-    ends, primed = _block(total, odd)
+    # block 18 has 16 slices, each flipped by the parts of the slices before it
+    parts, primed = _whole_block(total, odd)
+    ends = np.cumsum(parts, dtype=np.int64) - 1
     cuts = np.zeros(primed.size + 1, dtype=np.uint8)
     cuts[0] = odd
     cuts[ends + 1] = 1
@@ -116,8 +127,60 @@ def test_universal_sequence_matches_the_difference_construction():
         diffs.append(_shift_matrix_block_differences(total))
     oracle = np.concatenate([[0], np.cumsum(np.concatenate(diffs))])[: count + 1]
     seq = UniversalSequence()
-    seq.ensure_terms(count)
-    assert np.array_equal(np.array(seq._values[: count + 1]), oracle)
+    assert np.array_equal(np.array(seq.values(count)), oracle)
+
+
+@pytest.mark.parametrize("slice_rows, last", [(interleave.SLICE_ROWS, 15), (3, 9)])
+def test_value_values_and_differences_agree_across_block_and_slice_boundaries(slice_rows, last, monkeypatch):
+    # blocks 1 .. last - 1 hold (last - 1) * 2^(last - 2) parts; the first
+    # slice of block ``last`` ends inside it
+    monkeypatch.setattr(interleave, "SLICE_ROWS", slice_rows)
+    diffs = np.concatenate([_shift_matrix_block_differences(t) for t in range(1, last + 1)])
+    terms = np.concatenate([[0], np.cumsum(diffs)])
+    block_end = (last - 1) * 2 ** (last - 2)
+    slice_end = block_end + next(_block(last, 0))[0].size
+    assert block_end < slice_end < terms.size - 2
+    seq = UniversalSequence()
+    for count in (block_end - 1, block_end, block_end + 1, slice_end - 1, slice_end, slice_end + 1):
+        values, differences = seq.values(count), seq.differences(count)
+        assert values == tuple(terms[: count + 1].tolist())
+        assert differences == tuple(diffs[:count].tolist())
+        assert np.diff(values).tolist() == list(differences)
+        assert [seq.value(i) for i in range(count - 2, count + 1)] == list(values[-3:])
+    units = seq._units
+    values = seq.values(len(seq._values) - 1)
+    assert values[-1] == units
+    primed = np.unpackbits(np.frombuffer(seq._primed, np.uint8))[:units]
+    assert np.array_equal(primed, _flip_accumulate_primes(values, 0, units))
+
+
+def test_pulls_up_to_block_18_stay_small():
+    # the terms are one byte each and a block is pulled a slice at a time:
+    # int64 terms or whole-block temporaries would peak at about 32 MB
+    tracemalloc.start()
+    try:
+        seq = UniversalSequence()
+        seq.ensure_terms(18 * 2**17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seq._blocks == 18
+    assert peak < 10 * 2**20
+
+
+def test_sum_blocks_past_32_overflow_before_anything_is_pulled():
+    seq = UniversalSequence()
+    seq._blocks = 32
+    with pytest.raises(OverflowError, match="sum-block 33"):
+        seq._pull()
+    with pytest.raises(OverflowError, match="sum-block 33"):
+        seq.ensure_terms(1)
+    assert seq._blocks == 32 and len(seq._values) == 1 and not seq._primed
+    # an entry above 32 first occurs in a block past 32
+    seq = UniversalSequence()
+    with pytest.raises(OverflowError, match="entry 33"):
+        locate_pattern(seq, (1, 33, 2))
+    assert seq._blocks == 0
 
 
 # -- universal sequence ------------------------------------------------------------
@@ -183,6 +246,28 @@ def test_locate_pattern_rejects_bad_input():
         locate_pattern(seq, ())
     with pytest.raises(ValueError):
         locate_pattern(seq, (0, 1))
+
+
+def _linear_locate(seq, pattern, parity):
+    """The smallest m by comparing slices of the differences, read in doubling counts."""
+    s = len(pattern)
+    first, step = (0, 1) if parity is None else (parity, 2)
+    count = s
+    while True:
+        diffs = seq.differences(count)
+        for m in range(first, count - s + 1, step):
+            if diffs[m : m + s] == pattern:
+                return m
+        count *= 2
+
+
+@pytest.mark.parametrize("parity", [None, 0, 1])
+def test_locate_pattern_matches_the_linear_scan(parity):
+    seq = UniversalSequence()
+    compositions = _oracle_compositions(10)
+    assert len(compositions) == 2**10 - 1
+    for pattern in compositions:
+        assert locate_pattern(seq, pattern, parity) == _linear_locate(seq, pattern, parity), pattern
 
 
 def test_every_short_pattern_appears():

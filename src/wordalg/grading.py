@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .words import (
-    PIECE_SIZE,
     MorphicStream,
     Morphism,
     NotProlongableError,
@@ -86,8 +85,8 @@ def _text_sums(text: str, letters, weights: tuple[int, ...]) -> WeightSumSet:
 
     Byte v of its mask is 1 iff v is a weight sum, so the mask is the image
     of ``text`` under the ``Substitution`` c -> 1 0^(w_c - 1), followed by a
-    final 1, packed to bits.  It is built a piece at a time: PIECE_SIZE bytes
-    of images, or one letter's image.  Images are cut at the mask's length,
+    final 1, packed to bits.  It is built a piece at a time, the images of
+    one substitution ``step`` of letters.  Images are cut at the mask's length,
     so neither a piece nor an image outgrows the mask, and no array holds a
     value per letter.  Raises OverflowError when the total weight does not
     fit in int64, and MemoryError when the mask does not fit in memory."""
@@ -98,9 +97,9 @@ def _text_sums(text: str, letters, weights: tuple[int, ...]) -> WeightSumSet:
     mask = np.empty(total + 1, dtype=np.uint8)
     # a letter heavier than the whole text does not occur in it
     substitution = Substitution([b"\1".ljust(min(w, total + 1), b"\0") for w in weights])
-    step, end = max(PIECE_SIZE // substitution.width, 1), 0
-    for start in range(0, codes.size, step):
-        image = substitution(codes[start : start + step])
+    end = 0
+    for start in range(0, codes.size, substitution.step):
+        image = substitution(codes[start : start + substitution.step])
         mask[end : end + image.size] = image
         end += image.size
     mask[end] = 1

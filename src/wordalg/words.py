@@ -307,11 +307,13 @@ class Substitution:
     ``_table`` holds one ``np.void`` item per code: its image padded with
     ``_NO_LETTER``, which no image may hold, to the longest, ``width``.
     Taking a run's items lays the padded images side by side; dropping the
-    pads leaves the images in order.
+    pads leaves the images in order.  A run of ``step`` codes has at most
+    ``PIECE_SIZE`` letters of images, or one image when that is longer.
     """
 
     def __init__(self, images):
         self.width = max(1, *map(len, images))
+        self.step = max(PIECE_SIZE // self.width, 1)
         table = b"".join(image.ljust(self.width, bytes([_NO_LETTER])) for image in images)
         self._table = np.frombuffer(table, np.dtype((np.void, self.width)))
 
@@ -324,11 +326,13 @@ class MorphicStream(PrefixStream):
     """Prefixes of the fixed point w of a morphism f prolongable on ``start``.
 
     w = f(w) = f(w_0) f(w_1) f(w_2) ..., so the stream starts from f(start)
-    and each growth applies f (a ``Substitution``) to the next
-    ``PIECE_SIZE`` letters of its own codes.  The codes are always f of the
-    letters read so far, and they stay longer than them: were
+    and each growth applies f (a ``Substitution``) to the next ``step``
+    letters of its own codes, so it adds at most ``PIECE_SIZE`` letters, or
+    one image when that is longer.  The codes are always f of the letters
+    read so far, and they stay longer than them: were
     |f(w_0 ... w_(r-1))| = r, f would fix that finite prefix and the fixed
-    point would be finite.  A prefix of n letters builds little more than n.
+    point would be finite.  A prefix of n letters builds at most n plus one
+    growth.
     """
 
     def __init__(self, morphism: Morphism, start: str):
@@ -344,7 +348,7 @@ class MorphicStream(PrefixStream):
 
     def _grow(self) -> np.ndarray:
         while True:
-            piece = self._codes[self._read : self._length][:PIECE_SIZE]
+            piece = self._codes[self._read : self._length][: self._substitution.step]
             self._read += piece.size
             image = self._substitution(piece)
             if image.size:  # pieces of mortal letters have empty images

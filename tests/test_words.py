@@ -376,14 +376,19 @@ def test_morphic_stream_reallocates_its_codes_a_logarithmic_number_of_times(sub_
     assert len(buffers) - 1 <= 2 * np.log2(n)
 
 
-@pytest.mark.parametrize("m, start", [(make_morphism("xy", x="xy", y="yyx"), "x"), (MORTAL_Z, "x")])
+@pytest.mark.parametrize("m, start", [
+    (make_morphism("xy", x="xy", y="yyx"), "x"),
+    (MORTAL_Z, "x"),
+    # long images: one piece of input letters would build 25,015,001 letters
+    (make_morphism("xy", x="x" + "y" * 5_000, y="y" * 5_001 + "x"), "x"),
+])
 def test_morphic_stream_builds_about_what_is_asked(m, start):
-    # at most one piece past the request: no block is built ahead of need
+    # at most one piece of images past the request: no block is built ahead of need
     longest = max(len(image) for image in m.images.values())
     stream = MorphicStream(m, start)
-    for n in (1, 1_000, 70_001, 500_000, 2_000_003):
+    for n in (1, 1_000, 16_384, 70_001, 500_000, 2_000_003):
         stream.prefix(n)
-        assert stream._length <= n + words.PIECE_SIZE * longest
+        assert stream._length <= n + max(words.PIECE_SIZE, longest)
 
 
 # -- factor sets ---------------------------------------------------------------

@@ -58,10 +58,14 @@ CHECKS = (
                              "--horizon", "100000", "--Lfree", "11"), 1, ("rank: 187",), seconds=20),
     # 2,046 products of 1*x + 1*y and 1*x + -1*y in the free algebra, all with
     # int coefficients: about 1 s with native int arithmetic and 5-8 s with
-    # Fraction coefficients, so the bound catches a return to a much slower
-    # path, not to the Fraction one
+    # Fraction coefficients, so the time bound catches a return to a much
+    # slower path, not to the Fraction one; it peaks at 246 MB: over a 28 MB
+    # interpreter, 120 MB of images (1,398,100 terms), 48 MB of integer rows,
+    # 12 MB of _unowned's flattening and 36 MB of the dense mod-p matrix
+    # (2046^2 int64), so the 310 MB bound catches a second live copy of the
+    # images, not noise
     Check("rank-free", ("free", "--view", "free", "--letters", "xy", "--gens", "1*x + 1*y;1*x + -1*y", "--Lfree", "10"),
-          0, ("rank: 2046",), seconds=20),
+          0, ("rank: 2046",), seconds=20, mb=310),
     # the 1,022 images of 1*x + 1*y and 1*z + 1*w in the cube view have
     # disjoint supports, so every row owns a column and neither elimination
     # runs, with no matrix at all: about 0.5 s and 74 MB; the 300 MB bound

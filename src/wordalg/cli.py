@@ -27,7 +27,7 @@ def _parse_csv_ints(text: str) -> tuple[int, ...]:
 
 
 def parse_scan_horizons(text: str) -> tuple[int, ...]:
-    """The ``--horizons`` of a scan: nonnegative, increasing and not all equal.
+    """The ``--horizons`` of ``wordalg scan``: nonnegative, increasing and not all equal.
     A degree is flagged when its AP length grows from the smallest horizon to
     the largest, so one distinct horizon can flag nothing."""
     horizons = grading.check_horizons(_parse_csv_ints(text))
@@ -301,7 +301,7 @@ def report_errors(fn, *args) -> int:
     """Call fn(*args) and return its exit code (None counts as 0).  A usage
     error or malformed input prints one `error: ...` line on stderr and gives
     2; an inconclusive run prints one `inconclusive: ...` line and gives 3.
-    The ``wordalg`` command and the scripts share this mapping."""
+    The ``wordalg`` command and ``scripts/operator_report.py`` share this mapping."""
     try:
         return fn(*args) or 0
     except (ValueError, OSError) as exc:

@@ -729,7 +729,10 @@ def parse_morphism_spec(text: str) -> tuple[Morphism, tuple[int, ...] | None]:
 
 def load_morphism_file(path) -> tuple[Morphism, tuple[int, ...] | None]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_morphism_spec(fh.read())
+        try:
+            return parse_morphism_spec(fh.read())
+        except ValueError as exc:  # an OSError names its file already
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def format_morphism_spec(m: Morphism, weights=None) -> str:

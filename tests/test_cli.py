@@ -1,7 +1,7 @@
 import contextlib
-import importlib.util
 import io
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -371,6 +371,11 @@ def test_scan_with_one_distinct_horizon_exits_two(horizons, capsys):
     _assert_usage_error(argv, f"error: --horizons needs at least two distinct horizons, got {horizons}\n", capsys)
 
 
+def test_scan_with_decreasing_horizons_exits_two(capsys):
+    argv = ["scan", "--spec", str(REPO_MORPHISMS / "thue_morse.morph"), "--dmax", "3", "--horizons", "100,10"]
+    _assert_usage_error(argv, "error: horizons must be increasing and nonempty\n", capsys)
+
+
 @pytest.mark.parametrize("word", ["xyy", "c", "abx", "a b"])
 def test_rowen_word_outside_a_b_exits_two(word, capsys):
     _assert_usage_error(["rowen", "--N", "300", "--word", word], f"--word letters must be a or b, got {word!r}", capsys)
@@ -430,12 +435,9 @@ def _cli_env():
 @pytest.mark.parametrize("argv", [
     ["operator_report.py", "--N", "50"],
     ["operator_report.py", "--maxlen", "0"],
-    ["certify_report.py", "--horizons", "100,10"],
-    # one distinct horizon can flag no degree, as for `wordalg scan`
-    ["certify_report.py", "--horizons", "1000"],
 ])
 def test_script_usage_error_is_one_line(argv):
-    # the scripts share the command's mapping of errors to exit codes
+    # the script shares the command's mapping of errors to exit codes
     proc = subprocess.run([sys.executable, str(REPO / "scripts" / argv[0]), *argv[1:]],
                           capture_output=True, text=True, env=_cli_env(), timeout=120)
     assert proc.returncode == 2
@@ -445,38 +447,35 @@ def test_script_usage_error_is_one_line(argv):
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
-def _certify_report_script():
-    spec = importlib.util.spec_from_file_location("certify_report", REPO / "scripts" / "certify_report.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
+def test_console_script_is_the_cli_main():
+    # a regex, since tomllib is missing on Python 3.10
+    pyproject = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^\[project\.scripts\]\nwordalg = "wordalg\.cli:main"\n', pyproject, re.M)
 
 
-def test_certify_report_names_a_spec_with_no_prolongable_letter(tmp_path, monkeypatch, capsys):
-    # a report for each spec before it, then one error line and the usage exit
-    script = _certify_report_script()
-    (tmp_path / "sub_xy.morph").write_text(SUB_XY)
-    (tmp_path / "swap.morph").write_text("x y\nx -> y\ny -> x\n")
-    monkeypatch.setattr(script, "MORPHISMS", tmp_path)
-    monkeypatch.setattr(sys, "argv", ["certify_report.py", "--horizons", "100,1000"])
-    assert script.report_errors(script.main) == 2
-    out, err = capsys.readouterr()
-    assert out.startswith("== sub_xy.morph") and "swap.morph" not in out
-    assert err == f"error: {tmp_path / 'swap.morph'}: the morphism is not prolongable on any letter\n"
+def test_certify_spec_with_no_prolongable_letter_exits_two(tmp_path, capsys):
+    # the start letter defaults to the first prolongable one, so with none the
+    # run needs --start
+    spec = tmp_path / "swap.morph"
+    spec.write_text("x y\nx -> y\ny -> x\nweights: 1 2\n")
+    assert run(["certify", "--spec", str(spec)]) == 2
+    assert capsys.readouterr() == ("", "error: morphism is not prolongable on any letter; give --start\n")
 
 
-def test_certify_report_names_a_malformed_spec(tmp_path, monkeypatch, capsys):
-    # as for a spec with no prolongable letter: the reports before it, then
-    # one error line that names the file, and the usage exit
-    script = _certify_report_script()
-    (tmp_path / "sub_xy.morph").write_text(SUB_XY)
-    (tmp_path / "xy.morph").write_text("x y\nx -> xy\n")
-    monkeypatch.setattr(script, "MORPHISMS", tmp_path)
-    monkeypatch.setattr(sys, "argv", ["certify_report.py", "--horizons", "100,1000"])
-    assert script.report_errors(script.main) == 2
-    out, err = capsys.readouterr()
-    assert out.startswith("== sub_xy.morph") and "== xy.morph" not in out
-    assert err == f"error: {tmp_path / 'xy.morph'}: no image given for letter 'y'\n"
+@pytest.mark.parametrize("argv", [
+    ["analyze"],
+    ["word", "--length", "5"],
+    ["certify"],
+    ["scan", "--dmax", "3", "--horizons", "100,1000"],
+    ["free", "--view", "word", "--gens", "1*x", "--Lfree", "2"],
+], ids=lambda argv: argv[0])
+def test_a_malformed_spec_names_its_file(argv, tmp_path, capsys):
+    # every subcommand reads --spec through one loader: one error line that
+    # names the file, and the usage exit
+    spec = tmp_path / "xy.morph"
+    spec.write_text("x y\nx -> xy\n")
+    assert run([*argv, "--spec", str(spec)]) == 2
+    assert capsys.readouterr() == ("", f"error: {spec}: no image given for letter 'y'\n")
 
 
 def test_horizon_warning_is_one_stderr_line():
@@ -668,18 +667,26 @@ def test_certify_finds_a_late_reoccurrence_of_the_start_letter(tmp_path, capsys)
 
 
 @pytest.mark.parametrize("lines, message", [
-    ("x -> xy\nx -> yx\ny -> yyx\n", "error: duplicate image line for letter 'x'\n"),
-    ("x -> xy\ny -> yyx\nweights: 1 2\nweights: 2 1\n", "error: duplicate weights line\n"),
+    ("x -> xy\nx -> yx\ny -> yyx\n", "duplicate image line for letter 'x'"),
+    ("x -> xy\ny -> yyx\nweights: 1 2\nweights: 2 1\n", "duplicate weights line"),
 ], ids=["image", "weights"])
 def test_certify_spec_with_a_repeated_line_exits_two(lines, message, tmp_path, capsys):
     spec = tmp_path / "repeated.morph"
     spec.write_text("x y\n" + lines)
-    _assert_usage_error(["certify", "--spec", str(spec), "--weights", "1,2"], message, capsys)
+    _assert_usage_error(["certify", "--spec", str(spec), "--weights", "1,2"], f"error: {spec}: {message}\n", capsys)
 
 
-def test_bundled_morphism_files(capsys):
-    for name, expected in (("sub_xy.morph", 0), ("sub_xyz.morph", 0), ("thue_morse.morph", 1)):
-        path = REPO_MORPHISMS / name
-        code = run(["certify", "--spec", str(path)])
-        capsys.readouterr()
-        assert code == expected
+# the certify exit of every bundled spec: 0 certified, 1 decided against
+BUNDLED_CERTIFY_EXITS = {"sub_xy.morph": 0, "sub_xyz.morph": 0, "thue_morse.morph": 1}
+
+
+def test_bundled_morphism_files():
+    # a spec added to morphisms/ must be given its certify exit here
+    assert sorted(BUNDLED_CERTIFY_EXITS) == sorted(path.name for path in REPO_MORPHISMS.glob("*.morph"))
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in REPO_MORPHISMS.glob("*.morph")))
+def test_bundled_morphism_file_certifies(name, capsys):
+    code = run(["certify", "--spec", str(REPO_MORPHISMS / name)])
+    capsys.readouterr()
+    assert code == BUNDLED_CERTIFY_EXITS[name]

@@ -1,8 +1,10 @@
 """Byte-for-byte goldens: stdout and exit code of the documented commands.
 
 Every command of the README's "Command line" block runs in-process through
-``wordalg.cli.run``; the two ``scripts/`` run at their defaults in a child
-interpreter.  A few factor-view commands and one scan the README lacks are pinned too.
+``wordalg.cli.run``, and ``test_readme_command_lines_have_goldens`` checks that
+the block holds exactly those commands; ``scripts/operator_report.py`` runs at
+its defaults in a child interpreter.  A few factor-view commands and the
+scans and certificates the README lacks are pinned too.
 Each golden file under ``tests/goldens/`` holds the exit code on its first
 line (``# exit <code>``) and the exact stdout after it.
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -29,9 +32,9 @@ from wordalg.monalg import HorizonWarning
 REPO = Path(__file__).resolve().parent.parent
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 
-# name -> ("cli", argv) for wordalg.cli.run, or ("script", argv) for scripts/<argv[0]>
-COMMANDS: dict[str, tuple[str, list[str]]] = {
-    # the README's "Command line" block
+# name -> ("cli", argv) for wordalg.cli.run, or ("script", argv) for scripts/<argv[0]>;
+# the README's "Command line" block, in its order
+README_COMMANDS: dict[str, tuple[str, list[str]]] = {
     "analyze_sub_xy": ("cli", ["analyze", "--spec", "morphisms/sub_xy.morph"]),
     "word_sub_xy": ("cli", ["word", "--spec", "morphisms/sub_xy.morph", "--start", "x", "--length", "5"]),
     "certify_sub_xy_u": ("cli", ["certify", "--spec", "morphisms/sub_xy.morph", "--weights", "1,2", "--u", "xyy"]),
@@ -43,6 +46,10 @@ COMMANDS: dict[str, tuple[str, list[str]]] = {
     "rowen_4096": ("cli", ["rowen", "--N", "4096", "--maxlen", "12"]),
     "growth_default": ("cli", ["growth", "--nvalues", "64,128,256"]),
     "growth_periodic_xy": ("cli", ["growth", "--periodic", "xy"]),
+}
+
+COMMANDS: dict[str, tuple[str, list[str]]] = {
+    **README_COMMANDS,
     # factor-view commands the README lacks
     "free_tilde": ("cli", ["free", "--view", "tilde", "--gens", "1*x + 1*y;1*x' + 1*y'", "--Lfree", "4"]),
     # dependent only because xxx is unseen within the horizon
@@ -61,8 +68,11 @@ COMMANDS: dict[str, tuple[str, list[str]]] = {
     # every degree bounded: each row is settled at the smallest horizon
     "scan_sub_xyz": ("cli", ["scan", "--spec", "morphisms/sub_xyz.morph", "--dmax", "24", "--horizons", "1000,100000"]),
     "rowen_word_aaa": ("cli", ["rowen", "--N", "512", "--horizon", "10000", "--word", "aaa"]),
-    # the scripts at their defaults
-    "script_certify_report": ("script", ["certify_report.py"]),
+    # u found from the spec's own weights, not given
+    "certify_sub_xy": ("cli", ["certify", "--spec", "morphisms/sub_xy.morph"]),
+    "scan_sub_xy": ("cli", ["scan", "--spec", "morphisms/sub_xy.morph", "--dmax", "6", "--horizons", "10000,100000"]),
+    "analyze_thue_morse": ("cli", ["analyze", "--spec", "morphisms/thue_morse.morph"]),
+    # the script at its defaults
     "script_operator_report": ("script", ["operator_report.py"]),
 }
 
@@ -97,6 +107,15 @@ def test_golden(name):
     kind, argv = COMMANDS[name]
     expected = (GOLDENS / f"{name}.txt").read_text(encoding="utf-8")
     assert render(*execute(kind, argv)) == expected
+
+
+def test_readme_command_lines_have_goldens():
+    # every `wordalg` line of the block, comments stripped, is the argv of one
+    # README entry above, and every such entry is a line of the block
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("wordalg ")]
+    assert lines == [["wordalg", *argv] for kind, argv in README_COMMANDS.values()]
 
 
 def test_every_golden_file_has_a_command():

@@ -44,14 +44,14 @@ def _load_morphism(args) -> tuple[words.Morphism, tuple[int, ...] | None]:
     return morphism, weights
 
 
-def _pick_start(morphism: words.Morphism, start: str | None) -> str:
-    if start is not None:
-        morphism.alphabet.index(start)  # a foreign letter is a usage error
-        return start
+def _pick_start(morphism: words.Morphism, args) -> str:
+    if args.start is not None:
+        morphism.alphabet.index(args.start)  # a foreign letter is a usage error
+        return args.start
     for c in morphism.alphabet.letters:
         if words.is_prolongable(morphism, c):
             return c
-    raise ValueError("morphism is not prolongable on any letter; give --start")
+    raise ValueError(f"{args.spec}: morphism is not prolongable on any letter; give --start")
 
 
 def _nonnegative(text: str) -> int:
@@ -101,7 +101,7 @@ def _cmd_certify(args) -> tuple[int, str]:
     morphism, weights = _load_morphism(args)
     if weights is None:
         raise ValueError("weights required (either in the spec file or via --weights)")
-    start = _pick_start(morphism, args.start)
+    start = _pick_start(morphism, args)
     cert = grading.certify_graded_nilpotence(morphism, start, weights, u=args.u)
     return (0 if cert.certified else 1), emit_report(cert.to_record())
 
@@ -110,7 +110,7 @@ def _cmd_scan(args) -> tuple[int, str]:
     morphism, weights = _load_morphism(args)
     if weights is None:
         raise ValueError("weights required (either in the spec file or via --weights)")
-    start = _pick_start(morphism, args.start)
+    start = _pick_start(morphism, args)
     stream = words.MorphicStream(morphism, start)
     horizons = parse_scan_horizons(args.horizons)
     report = grading.graded_nilpotence_scan(stream, weights, args.dmax, horizons)
@@ -119,7 +119,7 @@ def _cmd_scan(args) -> tuple[int, str]:
 
 def _cmd_word(args) -> tuple[int, str]:
     morphism, _ = _load_morphism(args)
-    start = _pick_start(morphism, args.start)
+    start = _pick_start(morphism, args)
     return 0, words.fixed_point_prefix(morphism, start, args.length)
 
 
@@ -127,7 +127,7 @@ def _make_view(args) -> monalg.AlgebraView:
     kind = args.view
     if kind == "word":
         morphism, _ = _load_morphism(args)
-        start = _pick_start(morphism, args.start)
+        start = _pick_start(morphism, args)
         return monalg.WordFactorView(words.MorphicStream(morphism, start), args.horizon)
     if kind == "tilde":
         return monalg.WordFactorView(interleave.tilde_stream(), args.horizon)

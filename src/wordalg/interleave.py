@@ -33,7 +33,7 @@ from .monalg import (
     linear_independence,  # unused here; kept because perfbench/spans.py wraps it under this name
     pattern_images,  # unused here; kept because perfbench/spans.py wraps it under this name
 )
-from .words import PIECE_SIZE, Alphabet, Morphism, MorphicStream, PrefixStream, make_morphism
+from .words import Alphabet, Morphism, MorphicStream, PrefixStream, make_morphism
 
 ENUMERATION_ORDER = "sum-length-lex"
 
@@ -95,14 +95,14 @@ class UniversalSequence:
     the concatenation of every finite positive-integer sequence, enumerated by
     (sum, length, lex).  Reproducible bit for bit.
 
-    The sequence stores one byte per term: ``_values`` holds n_0 = 0 and then
-    the parts n_i - n_(i-1), whose running sums are the terms.  It is pulled
-    one sum-block (all compositions of one sum) at a time, and each block a
-    bounded slice of rows at a time (``_block``), so no array of terms or of
-    a block's parts is ever built.  The same pull stores the priming bit of
-    every unit u = 0, 1, ..., n_last - 1 (odd iff an odd number of terms
-    n_1, n_2, ... are <= u) in ``_primed``, packed eight to a byte, top bit
-    first.  Sum-blocks past ``MAX_BLOCK`` raise OverflowError.
+    ``_values`` holds n_0 = 0 and then the parts n_i - n_(i-1), one byte
+    each, whose running sums are the terms.  It is pulled one sum-block (all
+    compositions of one sum) at a time, a bounded slice of rows at a time
+    (``_block``), so no array of terms or of a block's parts is ever built.
+    The same pull stores the priming bit of every unit u = 0, 1, ...,
+    n_last - 1 (odd iff an odd number of terms n_1, n_2, ... are <= u) in
+    ``_primed``, eight to a byte, top bit first, which only ``primed`` reads.
+    Sum-blocks past ``MAX_BLOCK`` raise OverflowError.
     """
 
     order_tag = ENUMERATION_ORDER
@@ -126,6 +126,17 @@ class UniversalSequence:
             self._primed.extend(np.packbits(primed[head:]))
             self._units += primed.size
 
+    def primed(self, start: int, stop: int) -> np.ndarray:
+        """The priming bits of units [start, stop), one uint8 each, in a new array."""
+        if start < 0:
+            raise ValueError("positions must be nonnegative")
+        stop = max(stop, start)
+        while self._units < stop:
+            self._pull()
+        skip = start % 8  # the bits from the byte that holds unit ``start``
+        packed = np.frombuffer(self._primed, np.uint8, (skip + stop - start + 7) // 8, start // 8)
+        return np.unpackbits(packed, count=skip + stop - start)[skip:]
+
     def ensure_terms(self, count: int):
         """Materialize n_0 .. n_count."""
         if count < 0:
@@ -146,8 +157,7 @@ class UniversalSequence:
 
     def differences(self, count: int) -> tuple[int, ...]:
         """n_1 - n_0, ..., n_count - n_(count-1)."""
-        self.ensure_terms(count)
-        return tuple(self._values[1 : count + 1])
+        return tuple(self._parts(count)[1:].tolist())
 
 
 def locate_pattern(seq: UniversalSequence, pattern, parity: int | None = None) -> int:
@@ -219,27 +229,22 @@ class InterleaveSpec:
 
 
 class InterleaveStream(PrefixStream):
-    """Prefixes of the interleaved word over the doubled alphabet, grown
-    ``PIECE_SIZE`` letters at a time.  A piece is the base word's codes plus
-    |A| at every primed position; the universal sequence stores the priming
-    bits packed as it pulls its blocks, so a piece only unpacks them."""
+    """Prefixes of the interleaved word over the doubled alphabet, stored
+    nowhere: ``codes`` adds the base word's codes and |A| times the priming
+    bits of the range asked for, which the base stream and the sequence hold."""
 
     def __init__(self, spec: InterleaveSpec):
-        super().__init__(spec.alphabet)
+        self.alphabet = spec.alphabet
         self.spec = spec
 
-    def _grow(self) -> np.ndarray:
-        seq = self.spec.sequence
-        lo, hi = self._length, self._length + PIECE_SIZE
-        while seq._units < hi:
-            seq._pull()
-        skip = lo % 8  # the unit bits of [lo, hi), from the byte that holds unit lo
-        primed = np.frombuffer(seq._primed, np.uint8, (skip + hi - lo + 7) // 8, lo // 8)
-        primed = np.unpackbits(primed, count=skip + hi - lo)[skip:]
+    def codes(self, start: int, stop: int) -> np.ndarray:
+        """The codes of the letters at 0-based positions [start, stop), a new array."""
+        base = self.spec.base.codes(start, stop)
+        codes = self.spec.sequence.primed(start, start + base.size)
         # the doubled alphabet lists each primed companion |A| places after its letter
-        primed *= self.spec.base.alphabet.size
-        primed += self.spec.base.codes(lo, hi)
-        return primed
+        codes *= self.spec.base.alphabet.size
+        codes += base
+        return codes
 
 
 # ---------------------------------------------------------------------------

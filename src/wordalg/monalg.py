@@ -10,7 +10,6 @@ otherwise, so integer systems multiply and add as native ints.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -265,48 +264,49 @@ class IndependenceResult:
 CERTIFICATE_PRIME = 2**31 - 1
 
 
-def _integer_rows(polys) -> tuple[list[dict[int, int]], list[int]]:
-    """Each polynomial as a sparse integer row {column: coefficient}, scaled by
-    the lcm of its denominators, and that scale.  Columns are numbered in
-    first-seen order: neither the rank nor the witness depends on the order."""
-    col_of: dict[str, int] = {}
+def _integer_rows(polys) -> tuple[list[dict[str, int]], list[int]]:
+    """Each polynomial as a sparse integer row {monomial: coefficient}, scaled
+    by the lcm of its denominators, and that scale: with only int coefficients
+    its own ``coeffs``, which the rank never writes to, else a scaled copy."""
     rows, scales = [], []
     for poly in polys:
         # an int coefficient has denominator 1, so only Fractions enter the lcm
         scale = math.lcm(*(c.denominator for c in poly.coeffs.values() if type(c) is not int))
-        row = {col_of.setdefault(w, len(col_of)): c for w, c in poly.coeffs.items()}
-        if scale > 1:
-            row = {k: c * scale if type(c) is int else c.numerator * (scale // c.denominator)
-                   for k, c in row.items()}
-        rows.append(row)
+        rows.append(poly.coeffs if scale == 1 else {
+            w: c * scale if type(c) is int else c.numerator * (scale // c.denominator) for w, c in poly.coeffs.items()})
         scales.append(scale)
     return rows, scales
 
 
-def _unowned(rows) -> list[int]:
-    """The indices of the integer rows that own no column, a row owning a
-    column when it is the only row with an entry there.  Any relation over Q
-    gives an owner the coefficient 0, so owners take part in no relation (the
-    singleton-column step of sparse LU presolve)."""
+def _columns(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's entry count, and the column of every entry in row and key
+    order, keys numbered as first seen (the rank and witness ignore the order)."""
+    col_of: dict = {}
     lengths = np.fromiter(map(len, rows), np.intp, len(rows))
     # intp, as bincount would copy any narrower column array into it
-    cols = np.fromiter(itertools.chain.from_iterable(rows), np.intp, int(lengths.sum()))
+    cols = np.fromiter((col_of.setdefault(k, len(col_of)) for row in rows for k in row), np.intp, lengths.sum())
+    return lengths, cols
+
+
+def _unowned(lengths, cols) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The indices and flattening of the rows that own no column, being the only
+    row with an entry there: any relation over Q gives an owner the coefficient
+    0 (the singleton-column step of sparse LU presolve)."""
     owned = np.bincount(cols) == 1
-    owner = np.zeros(len(rows), dtype=bool)
+    owner = np.zeros(lengths.size, dtype=bool)
     owner[np.searchsorted(np.cumsum(lengths), np.flatnonzero(owned[cols]), side="right")] = True
-    return np.flatnonzero(~owner).tolist()
+    return np.flatnonzero(~owner).tolist(), lengths[~owner], cols[np.repeat(~owner, lengths)]
 
 
-def _full_rank_mod_p(rows) -> bool:
-    """Whether the integer rows have full row rank over F_p.  The rank over Q is
-    at least that, so True proves them independent; False proves nothing.
+def _full_rank_mod_p(rows, lengths, cols) -> bool:
+    """Whether the integer rows (flattened by ``_columns``) have full row rank
+    over F_p.  The rank over Q is at least that, so True proves them
+    independent; False proves nothing.
 
     The rows are reduced mod p into a dense int64 matrix over the columns they
     use and eliminated there.  More rows than columns in use can never have
     full rank, so such rows are refused before any matrix is built."""
     p = CERTIFICATE_PRIME
-    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-    cols = np.fromiter(itertools.chain.from_iterable(rows), np.int32, int(lengths.sum()))
     used = np.zeros(1 + int(cols.max(initial=-1)), dtype=bool)
     used[cols] = True
     shape = (len(rows), int(used.sum()))
@@ -316,7 +316,6 @@ def _full_rank_mod_p(rows) -> bool:
     # small enough: an int32 index is cast in buffered chunks, not copied
     index = np.int32 if shape[0] * shape[1] <= np.iinfo(np.int32).max else np.int64
     flat = (np.cumsum(used, dtype=index) - 1)[cols]
-    del cols
     flat += np.repeat(np.arange(shape[0], dtype=index) * shape[1], lengths)
     # residues are below p < 2^31, so they are read as int32 before the matrix
     residues = np.fromiter((c % p for row in rows for c in row.values()), np.int32, len(flat))
@@ -348,14 +347,14 @@ def linear_independence(polys) -> IndependenceResult:
     supports need no elimination.  Full rank of the rest modulo
     CERTIFICATE_PRIME settles independence at once.  Otherwise they are
     eliminated exactly on their integer rows, integer-preserving as in Bareiss
-    (1968): a row that meets a pivot at its least column becomes a*row -
+    (1968): a row that meets a pivot at its least monomial becomes a*row -
     b*pivot, then the row and its combination lose their common content."""
     polys = list(polys)
     rows, scales = _integer_rows(polys)
-    unowned = _unowned(rows)
-    if _full_rank_mod_p([rows[i] for i in unowned]):
+    unowned, lengths, cols = _unowned(*_columns(rows))
+    if _full_rank_mod_p([rows[i] for i in unowned], lengths, cols):
         return IndependenceResult(len(polys), True, None)
-    pivots: dict[int, list[dict[int, int]]] = {}  # lead column -> [row, combination]
+    pivots: dict[str, list[dict]] = {}  # lead monomial -> [row, combination]
     dependency = None
     for i in unowned:
         row = rows[i]

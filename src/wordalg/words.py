@@ -248,9 +248,9 @@ class PrefixStream:
 
     The prefix built so far is ``_codes[:_length]``, letter codes (positions
     in ``alphabet.letters``, see ``encode``) in one buffer that doubles when
-    full, so appends are amortized.  Subclasses supply ``_grow`` returning
-    the next nonempty chunk of codes; ``prefix`` and ``slice`` decode on
-    demand.
+    full.  Subclasses supply ``_grow`` returning the next nonempty chunk of
+    codes, or their own ``codes`` and no buffer (the interleaved word);
+    ``prefix`` and ``slice`` decode what ``codes`` returns.
     """
 
     def __init__(self, alphabet: Alphabet):
@@ -270,20 +270,17 @@ class PrefixStream:
         self._codes[self._length : end] = chunk
         self._length = end
 
-    def _ensure(self, n: int):
-        if n < 0:
-            raise ValueError("length must be nonnegative")
-        while self._length < n:
-            chunk = self._grow()
-            if not chunk.size:
-                raise RuntimeError("stream stopped growing")
-            self._append(chunk)
-
     def codes(self, start: int, stop: int) -> np.ndarray:
         """Read-only view of the codes of the letters at 0-based positions [start, stop)."""
         if start < 0:
             raise ValueError("positions must be nonnegative")
-        self._ensure(stop)
+        if stop < 0:
+            raise ValueError("length must be nonnegative")
+        while self._length < stop:
+            chunk = self._grow()
+            if not chunk.size:
+                raise RuntimeError("stream stopped growing")
+            self._append(chunk)
         view = self._codes[start:stop]
         view.flags.writeable = False
         return view
@@ -459,8 +456,9 @@ class FactorIndex:
     unsigned integer in base b = max(|A|, 2), which is exact while b^k is
     below 2^63 (``packed_limit``: 62, 31 and 18 for 2, 4 and 10 letters);
     the windows are sorted, a long text's ``WINDOW_RUN`` at a time, and the
-    distinct codes are decoded once into a cached ``frozenset``.  Longer words are answered by substring search.  Absence
-    only means "not in these texts".
+    distinct codes are decoded once into a cached ``frozenset``.  Texts are kept
+    as codes only, and a longer word is searched in each text decoded again.
+    Absence only means "not in these texts".
 
     Lengths up to T, the longest whose codes fit in uint16 (16, 10, 8 and 4
     for 2, 3, 4 and 10 letters), share one window table: the sorted distinct
@@ -474,14 +472,12 @@ class FactorIndex:
     """
 
     def __init__(self, texts: str | Iterable[str], letters):
-        letters = tuple(letters)
-        self.texts = (texts,) if isinstance(texts, str) else tuple(texts)
-        self.letters = letters
+        self.letters = letters = tuple(letters)
         self._base = max(len(letters), 2)
         self.packed_limit = _longest_power(self._base, 2**63 - 1)
         self._table_length = _longest_power(self._base, 2**16)
         self._table: np.ndarray | None = None  # sorted distinct codes of the T-windows
-        self._digits = [encode(text, letters) for text in self.texts]
+        self._digits = [encode(text, letters) for text in ((texts,) if isinstance(texts, str) else texts)]
         self._sets: dict[int, frozenset[str]] = {0: frozenset({""})}
 
     def of_length(self, k: int) -> frozenset[str]:
@@ -535,7 +531,7 @@ class FactorIndex:
     def __contains__(self, word: str) -> bool:
         if len(word) <= self.packed_limit:
             return word in self.of_length(len(word))
-        return any(word in text for text in self.texts)
+        return any(word in decode(digits, self.letters) for digits in self._digits)
 
 
 # ---------------------------------------------------------------------------

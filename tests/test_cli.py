@@ -366,7 +366,8 @@ def test_negative_sizes_exit_two(argv, capsys):
 @pytest.mark.parametrize("horizons", ["1000", "1000,1000"])
 def test_scan_with_one_distinct_horizon_exits_two(horizons, capsys):
     # a degree is flagged when its AP length grows from the smallest horizon
-    # to the largest; Thue-Morse degree 3 is unbounded, yet one horizon flags nothing
+    # to the largest; Thue-Morse degree 3 is unbounded, yet one horizon flags
+    # nothing, so the scan must refuse, not pass it
     argv = ["scan", "--spec", str(REPO_MORPHISMS / "thue_morse.morph"), "--dmax", "3", "--horizons", horizons]
     _assert_usage_error(argv, f"error: --horizons needs at least two distinct horizons, got {horizons}\n", capsys)
 
@@ -453,13 +454,19 @@ def test_console_script_is_the_cli_main():
     assert re.search(r'^\[project\.scripts\]\nwordalg = "wordalg\.cli:main"\n', pyproject, re.M)
 
 
-def test_certify_spec_with_no_prolongable_letter_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["certify"],
+    ["word", "--length", "5"],
+    ["scan", "--dmax", "3", "--horizons", "100,1000"],
+    ["free", "--view", "word", "--gens", "1*x", "--Lfree", "2"],
+], ids=lambda argv: argv[0])
+def test_a_spec_with_no_prolongable_letter_names_its_file(argv, tmp_path, capsys):
     # the start letter defaults to the first prolongable one, so with none the
-    # run needs --start
+    # run needs --start; the error names the spec, as a parse error does
     spec = tmp_path / "swap.morph"
     spec.write_text("x y\nx -> y\ny -> x\nweights: 1 2\n")
-    assert run(["certify", "--spec", str(spec)]) == 2
-    assert capsys.readouterr() == ("", "error: morphism is not prolongable on any letter; give --start\n")
+    assert run([*argv, "--spec", str(spec)]) == 2
+    assert capsys.readouterr() == ("", f"error: {spec}: morphism is not prolongable on any letter; give --start\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -643,7 +650,8 @@ def test_rowen_nilpotency_prefix_cap_is_inconclusive(monkeypatch, capsys):
 
 
 def test_rowen_nilpotency_index_does_not_depend_on_the_truncation(capsys):
-    # the index is exact: a truncation just above the margin gets the same one
+    # the index is exact: a truncation just above the margin prints the same
+    # four nilpotency lines as the large one of the golden rowen_4096
     assert run(["rowen", "--N", "66", "--margin", "64", "--maxlen", "1"]) == 0
     rec = _record(capsys)[1]
     assert rec["nilpotency_index_a"] == rec["nilpotency_index_b"] == "3"

@@ -39,6 +39,8 @@ README_COMMANDS: dict[str, tuple[str, list[str]]] = {
     "word_sub_xy": ("cli", ["word", "--spec", "morphisms/sub_xy.morph", "--start", "x", "--length", "5"]),
     "certify_sub_xy_u": ("cli", ["certify", "--spec", "morphisms/sub_xy.morph", "--weights", "1,2", "--u", "xyy"]),
     "certify_thue_morse": ("cli", ["certify", "--spec", "morphisms/thue_morse.morph", "--weights", "1,2"]),
+    # a gcd above 1 after |A| terms is the gcd of the whole sequence, so
+    # --weights 2,4 is decided: exit 1, gcd=2
     "certify_sub_xy_gcd2": ("cli", ["certify", "--spec", "morphisms/sub_xy.morph", "--weights", "2,4"]),
     "scan_thue_morse": ("cli", ["scan", "--spec", "morphisms/thue_morse.morph", "--dmax", "6", "--horizons", "1000,10000"]),
     "theorem32_1m": ("cli", ["theorem32", "--horizon", "1000000", "--Lfree", "5", "--dmax", "6"]),

@@ -26,7 +26,7 @@ from wordalg.interleave import (
     unprime,
 )
 from wordalg.monalg import HorizonWarning
-from wordalg.words import PIECE_SIZE, Alphabet, MorphicStream
+from wordalg.words import PIECE_SIZE, Alphabet, MorphicStream, encode
 
 
 # -- the enumeration oracle: re-derive the (sum, length, lex) order from scratch
@@ -347,35 +347,71 @@ def test_interleave_stream_matches_per_segment_build(lengths):
 
 
 @pytest.mark.parametrize("piece_size", [1, 7, 4_096])
-def test_interleave_stream_pieces_match_per_segment_build(piece_size, monkeypatch):
-    # pieces that end inside segments, on cut points and inside sum-blocks
-    monkeypatch.setattr(interleave, "PIECE_SIZE", piece_size)
-    base = MorphicStream(base_morphism(), BASE_START)
-    stream = InterleaveStream(InterleaveSpec(base, UniversalSequence()))
-    step = 1 if piece_size == 1 else 97
-    for n in range(0, min(len(NAIVE_INTERLEAVED), 300 * piece_size), step):
-        assert stream.prefix(n) == NAIVE_INTERLEAVED[:n]
-    assert stream.prefix(len(NAIVE_INTERLEAVED)) == NAIVE_INTERLEAVED
+def test_interleave_stream_pieces_match_per_segment_build(piece_size):
+    # the word read back to back in ranges of piece_size letters, which end
+    # inside segments, on cut points and inside sum-blocks
+    stream = InterleaveStream(InterleaveSpec(MorphicStream(base_morphism(), BASE_START), UniversalSequence()))
+    naive = encode(NAIVE_INTERLEAVED, stream.alphabet.letters)
+    pieces = [stream.codes(lo, lo + piece_size) for lo in range(0, naive.size, piece_size)]
+    assert np.array_equal(np.concatenate(pieces)[: naive.size], naive)
+
+
+@given(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 300)), min_size=1, max_size=8),
+       st.sampled_from([0, 1, 7, 4_096, 20_000]))
+@settings(max_examples=60, deadline=None)
+def test_interleave_stream_codes_are_the_encoded_slice_of_the_prefix(ranges, offset):
+    # starts on and off byte boundaries of the packed priming bits, and empty
+    # ranges, both stop == start and stop < start
+    stream = InterleaveStream(InterleaveSpec(MorphicStream(base_morphism(), BASE_START), UniversalSequence()))
+    for start, stop in ranges:
+        start, stop = start + offset, stop + offset
+        codes = stream.codes(start, stop)
+        assert np.array_equal(codes, encode(stream.prefix(stop)[start:], stream.alphabet.letters))
+        assert np.array_equal(codes, encode(NAIVE_INTERLEAVED[start:stop], stream.alphabet.letters))
+
+
+def test_interleave_stream_codes_reject_negative_positions():
+    stream = InterleaveStream(InterleaveSpec(MorphicStream(base_morphism(), BASE_START), UniversalSequence()))
+    for start, stop in ((-1, 5), (-3, -1), (0, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            stream.codes(start, stop)
+    with pytest.raises(ValueError, match="nonnegative"):
+        stream.spec.sequence.primed(-1, 5)
+
+
+def _blocks_covering(n):
+    """The least number s of sum-blocks whose units reach n: blocks 1 .. s hold
+    sum_t t * 2^(t-1) = (s - 1) * 2^s + 1 units."""
+    s = 1
+    while (s - 1) * 2**s + 1 < n:
+        s += 1
+    return s
 
 
 def test_interleave_stream_builds_about_what_is_asked():
-    # at most one piece past the request, of the interleaved and of the base word
+    # the word itself is stored nowhere; the sequence pulls the least blocks
+    # whose units reach the request, the last holding about as many units as
+    # all before it, and the base word is built at most one growth past it
     base = MorphicStream(base_morphism(), BASE_START)
     longest = max(len(image) for image in base_morphism().images.values())
     stream = InterleaveStream(InterleaveSpec(base, UniversalSequence()))
     for n in (1, 5, 18, 70_001, 1_000_000, 4_000_000):
         stream.prefix(n)
-        assert stream._length <= n + PIECE_SIZE
-        assert base._length <= n + PIECE_SIZE * (1 + longest)
+        assert "_codes" not in vars(stream)
+        assert n <= stream.spec.sequence._units < 3 * n
+        assert base._length <= n + max(PIECE_SIZE, longest)
 
 
-@pytest.mark.parametrize("n, terms", [(10_000, 53_249), (4_000_000, 2_359_297)])
-def test_interleave_stream_pulls_the_blocks_it_always_did(n, terms):
-    # the priming bits come with the terms, so a prefix pulls no block more
-    # or less than when the pieces were cut along the terms
+@pytest.mark.parametrize("n", [10_000, 4_000_000])
+def test_interleave_stream_pulls_the_blocks_its_prefix_needs(n):
+    # a prefix pulls the least sum-blocks whose units reach it; block t holds
+    # (t + 1) * 2^(t-2) parts, so s blocks hold s * 2^(s-1) parts, and the
+    # terms are those and n_0: 11,265 at 1e4 and 2,359,297 at 4e6
     stream = InterleaveStream(InterleaveSpec(MorphicStream(base_morphism(), BASE_START), UniversalSequence()))
     stream.prefix(n)
-    assert len(stream.spec.sequence._values) == terms
+    s = _blocks_covering(n)
+    assert stream.spec.sequence._blocks == s
+    assert len(stream.spec.sequence._values) == s * 2 ** (s - 1) + 1
 
 
 def test_interleaved_prefix_unprimes_to_base(xy_stream, tilde_stream):

@@ -374,7 +374,7 @@ def test_linear_independence_matches_sympy_rank(rows, combine):
 
 def _certificate_holds(polys):
     rows, _ = monalg._integer_rows(polys)
-    return monalg._full_rank_mod_p(rows)
+    return monalg._full_rank_mod_p(rows, *monalg._columns(rows))
 
 
 @pytest.mark.parametrize(
@@ -443,7 +443,7 @@ def test_full_rank_mod_p_matches_sympy_over_the_prime_field(rows):
     field = GF(P)
     width = 1 + max((c for row in rows for c in row), default=0)
     matrix = DomainMatrix([[field(row.get(c, 0)) for c in range(width)] for row in rows], (len(rows), width), field)
-    assert monalg._full_rank_mod_p(rows) == (matrix.rank() == len(rows))
+    assert monalg._full_rank_mod_p(rows, *monalg._columns(rows)) == (matrix.rank() == len(rows))
 
 
 @pytest.mark.parametrize("view, literals, max_len, shape", [
@@ -459,10 +459,13 @@ def test_full_rank_mod_p_matches_sympy_over_the_prime_field(rows):
 def test_peel_leaves_the_rows_that_own_no_column(view, literals, max_len, shape):
     images = pattern_images(view, [parse_poly_literal(view, t) for t in literals], max_len)
     rows, _ = monalg._integer_rows(images)
-    unowned = monalg._unowned(rows)
+    unowned, lengths, cols = monalg._unowned(*monalg._columns(rows))
     # in each of these systems the rows that own no column come first
     assert unowned == list(range(shape[0]))
     assert len(set().union(*(rows[i] for i in unowned))) == shape[1]
+    # and the flattening it returns is theirs
+    assert lengths.tolist() == [len(rows[i]) for i in unowned]
+    assert len(set(cols.tolist())) == shape[1] and cols.size == lengths.sum()
 
 
 def test_certificate_refuses_more_rows_than_columns_before_any_matrix(xy_stream):
@@ -473,14 +476,15 @@ def test_certificate_refuses_more_rows_than_columns_before_any_matrix(xy_stream)
     view = WordFactorView(xy_stream, 100_000)
     gens = [parse_poly_literal(view, "1*x + 1*y"), parse_poly_literal(view, "1*x + 2*y")]
     rows, _ = monalg._integer_rows(pattern_images(view, gens, 11))
+    lengths, cols = monalg._columns(rows)
     tracemalloc.start()
     try:
-        assert not monalg._full_rank_mod_p(rows)
+        assert not monalg._full_rank_mod_p(rows, lengths, cols)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert len(monalg._unowned(rows)) == len(rows) == 4094
+    assert len(monalg._unowned(lengths, cols)[0]) == len(rows) == 4094
     assert len(set().union(*rows)) == 187
 
 
@@ -525,6 +529,34 @@ def test_peeled_elimination_matches_the_all_rows_elimination_and_sympy(rows, den
                           (len(polys), width), QQ)
     assert res.rank == matrix.rank()
     assert res.independent == (res.rank == len(polys))
+
+
+def test_integer_rows_are_the_images_own_coefficients():
+    # an image with int coefficients is its own row; one with a Fraction is a
+    # scaled copy, and the image keeps its coefficients
+    view = FreeView("xy")
+    whole, half = NcPolynomial(view, {"x": 2, "y": -3}), NcPolynomial(view, {"x": Fraction(1, 2), "y": 1})
+    rows, scales = monalg._integer_rows([whole, half])
+    assert rows[0] is whole.coeffs and scales[0] == 1
+    assert rows[1] == {"x": 1, "y": 2} and scales[1] == 2
+    assert half.coeffs == {"x": Fraction(1, 2), "y": 1}
+
+
+@pytest.mark.parametrize("literals, max_len, independent", [
+    # 12 images over 6 monomials: refused by the certificate, so the exact loop runs
+    (["1*x + 1*y", "2*x + 4*y", "1*x + 2*y"], 2, False),
+    # int rows beside a Fraction one, whose row is a scaled copy
+    (["1*x", "1*y", "1*x + -1*y", "3*x + 1/2*y"], 1, False),
+    # settled by the certificate
+    (["1*x + 1*y", "1*x + -1*y"], 2, True),
+])
+def test_linear_independence_leaves_the_images_unchanged(literals, max_len, independent):
+    # the rows alias the images' coefficients, so no step may write to them
+    view = FreeView("xy")
+    images = pattern_images(view, [parse_poly_literal(view, t) for t in literals], max_len)
+    before = [(p.coeffs, dict(p.coeffs)) for p in images]
+    assert _assert_rank_matches_sympy(images).independent == independent
+    assert all(p.coeffs is coeffs and coeffs == copy for p, (coeffs, copy) in zip(images, before))
 
 
 @pytest.mark.parametrize("view, literals", [

@@ -482,6 +482,21 @@ def test_factor_index_lengths_across_the_window_table(data):
     assert index.of_length(0) == {""}
 
 
+def test_factor_index_finds_long_words_inside_one_text_only():
+    # past packed_limit a word is searched in each text's decoded codes; a
+    # word that straddles two texts is no factor of either
+    first, second = "xy" * 40, "yyx" * 30
+    index = FactorIndex([first, second], "xy")
+    assert not hasattr(index, "texts")
+    k = index.packed_limit + 1
+    assert first[1 : 1 + k] in index and second[2 : 2 + k] in index
+    straddle = first[-(k // 2) :] + second[: k - k // 2]
+    assert len(straddle) == k and straddle not in first and straddle not in second
+    assert straddle not in index
+    assert straddle in FactorIndex(first + second, "xy")
+    assert "xz" * k not in index  # a foreign letter is no factor
+
+
 def test_factor_index_of_an_interleaved_prefix_matches_slice_sets(tilde_stream):
     # four letters: lengths up to 8 come from the window table, 9 and 10 do not
     text = tilde_stream.prefix(200_000)

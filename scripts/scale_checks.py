@@ -72,17 +72,18 @@ CHECKS = (
     Check("rank-cubes", ("free", "--view", "cubes", "--letters", "xyzw", "--gens", "1*x + 1*y;1*z + 1*w", "--Lfree", "9"),
           0, ("rank: 1022",), seconds=20, mb=300),
     # the only run that reaches sum-block 20 of the universal sequence (the
-    # benchmark's 4e6 horizon stops at block 18): about 0.5 s and 90 MB, so
+    # benchmark's 4e6 horizon stops at block 18): about 0.4 s and 86 MB, so
     # the 30 s bound catches a lost kernel (a per-letter Python loop or a dense
     # per-block matrix), not noise; the peak is inside the factor index of the
-    # 1e7-letter prefix: over a 29 MB interpreter, the base word's codes (an
-    # 18 MB buffer), the sequence's parts and priming bits (12 MB), and the
-    # prefix as text, as Latin-1 bytes and as codes (10 MB each); the 112 MB
-    # bound catches a return to int64 terms or whole-block temporaries in the
-    # sequence (over 160 MB) or to scanning the interleaved prefix's weight
-    # sums (about 395 MB); a stored interleaved word alone (its 16 MB buffer,
-    # the 104 MB before it went) stays under it, and
-    # test_interleave_stream_builds_about_what_is_asked catches that
+    # 1e7-letter prefix: over a 29 MB interpreter, the base word's codes (10 MB
+    # in a buffer of the request plus one growth, whose unwritten tail is
+    # never touched and so not resident), the sequence's parts and priming
+    # bits (12 MB), and the prefix as text, as Latin-1 bytes and as codes
+    # (10 MB each); the 112 MB bound catches a return to int64 terms or
+    # whole-block temporaries in the sequence (over 160 MB) or to scanning the
+    # interleaved prefix's weight sums (about 395 MB); a stored interleaved
+    # word alone (its 16 MB buffer, the 104 MB before it went) stays under it,
+    # and test_interleave_stream_builds_about_what_is_asked catches that
     Check("theorem32-1e7", ("theorem32", "--horizon", "10000000", "--Lfree", "5", "--dmax", "6"), 0,
           ("all_clear: true",), seconds=30, mb=112),
     # products of degree up to 10 in the interleaved word's four letters:

@@ -13,7 +13,6 @@ from .words import (
     PeriodicStream,
     PrefixStream,
     analyze_morphism,
-    fixed_point_prefix,
     incidence_matrix,
     is_cube_free,
     make_morphism,

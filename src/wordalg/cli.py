@@ -120,7 +120,7 @@ def _cmd_scan(args) -> tuple[int, str]:
 def _cmd_word(args) -> tuple[int, str]:
     morphism, _ = _load_morphism(args)
     start = _pick_start(morphism, args)
-    return 0, words.fixed_point_prefix(morphism, start, args.length)
+    return 0, words.MorphicStream(morphism, start).prefix(args.length)
 
 
 def _make_view(args) -> monalg.AlgebraView:

@@ -234,7 +234,7 @@ class InterleaveStream(PrefixStream):
     bits of the range asked for, which the base stream and the sequence hold."""
 
     def __init__(self, spec: InterleaveSpec):
-        self.alphabet = spec.alphabet
+        super().__init__(spec.alphabet)
         self.spec = spec
 
     def codes(self, start: int, stop: int) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Alphabets, finite words, substitution morphisms and their fixed points.
 
 Finite words are plain Python strings; every letter of an alphabet is a
-single character.  Prefix streams hold letter codes and decode them to text
-on demand.  ``encode`` and ``decode`` are the one place where letters become
+single character.  Prefix streams give the letter codes of a range and
+decode them to text on demand.  ``encode`` and ``decode`` are the one place where letters become
 numbers (positions in a letter tuple) and back, each in one pass of a C
 codec: Latin-1 bytes translated through a 256-byte table (or a UTF-32 table
 lookup for letters past Latin-1) one way, the charmap codec the other.  All
@@ -238,52 +238,28 @@ def word_weight(alphabet: Alphabet, word: str, weights) -> int:
 # fixed points and prefix streams
 
 
-def fixed_point_prefix(m: Morphism, start: str, n: int) -> str:
-    """First ``n`` letters of the infinite fixed point of ``m`` beginning with ``start``."""
-    return MorphicStream(m, start).prefix(n)
+def _check_range(start: int, stop: int):
+    if start < 0:
+        raise ValueError("positions must be nonnegative")
+    if stop < 0:
+        raise ValueError("length must be nonnegative")
 
 
 class PrefixStream:
-    """Deterministic, monotone generator of prefixes of a right-infinite word.
+    """Deterministic generator of prefixes of a right-infinite word.
 
-    The prefix built so far is ``_codes[:_length]``, letter codes (positions
-    in ``alphabet.letters``, see ``encode``) in one buffer that doubles when
-    full.  Subclasses supply ``_grow`` returning the next nonempty chunk of
-    codes, or their own ``codes`` and no buffer (the interleaved word);
-    ``prefix`` and ``slice`` decode what ``codes`` returns.
+    Subclasses supply ``codes``, the letter codes (positions in
+    ``alphabet.letters``, see ``encode``) of a range of positions, and raise
+    ValueError on a negative position; ``prefix`` and ``slice`` decode them.
+    Only ``MorphicStream`` stores letters.
     """
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
-        self._codes = np.empty(0, dtype=np.uint8)
-        self._length = 0  # perfbench/spans.py counts letters built by this name
-
-    def _grow(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def _append(self, chunk: np.ndarray):
-        end = self._length + chunk.size
-        if end > self._codes.size:
-            buffer = np.empty(max(end, 2 * self._codes.size), dtype=np.uint8)
-            buffer[: self._length] = self._codes[: self._length]
-            self._codes = buffer
-        self._codes[self._length : end] = chunk
-        self._length = end
 
     def codes(self, start: int, stop: int) -> np.ndarray:
-        """Read-only view of the codes of the letters at 0-based positions [start, stop)."""
-        if start < 0:
-            raise ValueError("positions must be nonnegative")
-        if stop < 0:
-            raise ValueError("length must be nonnegative")
-        while self._length < stop:
-            chunk = self._grow()
-            if not chunk.size:
-                raise RuntimeError("stream stopped growing")
-            self._append(chunk)
-        view = self._codes[start:stop]
-        view.flags.writeable = False
-        return view
+        """The codes of the letters at 0-based positions [start, stop), not to be written."""
+        raise NotImplementedError
 
     def prefix(self, n: int) -> str:
         return self.slice(0, n)
@@ -324,12 +300,16 @@ class MorphicStream(PrefixStream):
 
     w = f(w) = f(w_0) f(w_1) f(w_2) ..., so the stream starts from f(start)
     and each growth applies f (a ``Substitution``) to the next ``step``
-    letters of its own codes, so it adds at most ``PIECE_SIZE`` letters, or
-    one image when that is longer.  The codes are always f of the letters
-    read so far, and they stay longer than them: were
-    |f(w_0 ... w_(r-1))| = r, f would fix that finite prefix and the fixed
-    point would be finite.  A prefix of n letters builds at most n plus one
-    growth.
+    letters of its own codes, so it adds at most ``step * width`` letters:
+    at most ``PIECE_SIZE``, or one image when that is longer.  The codes are
+    always f of the letters read so far, and they stay longer than them:
+    were |f(w_0 ... w_(r-1))| = r, f would fix that finite prefix and the
+    fixed point would be finite.  So growth never stops, and a prefix of n
+    letters builds at most n plus one growth.
+
+    The prefix built so far is ``_codes[:_length]``.  A request past it
+    that the buffer cannot hold with one more growth reallocates the buffer
+    once, to the request plus one growth.
     """
 
     def __init__(self, morphism: Morphism, start: str):
@@ -340,29 +320,46 @@ class MorphicStream(PrefixStream):
         self.start = start
         letters = morphism.alphabet.letters
         self._substitution = Substitution([encode(morphism.images[c], letters).tobytes() for c in letters])
-        self._append(encode(morphism.images[start], letters))
+        self._codes = encode(morphism.images[start], letters)
+        self._length = self._codes.size  # perfbench/spans.py counts letters built by this name
         self._read = 1  # letters of the codes whose images the codes hold
 
-    def _grow(self) -> np.ndarray:
-        while True:
-            piece = self._codes[self._read : self._length][: self._substitution.step]
+    def codes(self, start: int, stop: int) -> np.ndarray:
+        """Read-only view of the codes of the letters at 0-based positions [start, stop)."""
+        _check_range(start, stop)
+        substitution = self._substitution
+        end = stop + substitution.step * substitution.width  # the request plus one growth
+        if self._length < stop and self._codes.size < end:
+            buffer = np.empty(end, dtype=np.uint8)
+            buffer[: self._length] = self._codes[: self._length]
+            self._codes = buffer
+        while self._length < stop:
+            piece = self._codes[self._read : self._length][: substitution.step]
             self._read += piece.size
-            image = self._substitution(piece)
-            if image.size:  # pieces of mortal letters have empty images
-                return image
+            image = substitution(piece)
+            self._codes[self._length : self._length + image.size] = image
+            self._length += image.size
+        view = self._codes[start:stop]
+        view.flags.writeable = False
+        return view
 
 
 class PeriodicStream(PrefixStream):
-    """The periodic word ``period`` repeated forever."""
+    """The periodic word ``period`` repeated forever; stores only the period."""
 
     def __init__(self, period: str):
         if not period:
             raise ValueError("period must be nonempty")
         super().__init__(Alphabet(tuple(dict.fromkeys(period))))
         self.period = period
+        self._period_codes = encode(period, self.alphabet.letters)
 
-    def _grow(self) -> np.ndarray:
-        return encode(self.period * max(PIECE_SIZE // len(self.period), 1), self.alphabet.letters)
+    def codes(self, start: int, stop: int) -> np.ndarray:
+        """The codes of the letters at 0-based positions [start, stop), a new array."""
+        _check_range(start, stop)
+        n, p = max(stop - start, 0), len(self.period)
+        # np.tile, not np.resize, which concatenates one array per copy
+        return np.tile(np.roll(self._period_codes, -(start % p)), -(-n // p))[:n]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -480,10 +481,15 @@ def test_growth_profile_periodic_control():
 
 
 def test_growth_profile_builds_no_prefix():
-    for stream in (tm_word_stream(), PeriodicStream("xy")):
-        before = stream._length
-        growth_profile((64, 128), stream=stream)
-        assert stream._length == before
+    stream = tm_word_stream()
+    before = stream._length
+    growth_profile((64, 128), stream=stream)
+    assert stream._length == before
+    # the periodic word stores no letters at all, and the profile reads none of them
+    periodic = PeriodicStream("xy")
+    with mock.patch.object(periodic, "codes", side_effect=AssertionError("read a range")):
+        growth_profile((64, 128), stream=periodic)
+    assert "_codes" not in vars(periodic)
 
 
 def test_correspondence_scan_does_not_depend_on_the_horizon(capsys):

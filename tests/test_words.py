@@ -23,7 +23,6 @@ from wordalg.words import (
     encode,
     exact_det,
     exact_factor_counts,
-    fixed_point_prefix,
     incidence_matrix,
     is_cube_free,
     is_primitive,
@@ -195,31 +194,31 @@ def test_weight_is_additive(u, v, sub_xy):
 
 
 def test_fixed_point_examples(sub_xy, sub_xyz, tm_morphism):
-    assert fixed_point_prefix(sub_xy, "x", 5) == "xyyyx"
-    assert fixed_point_prefix(tm_morphism, "y", 16) == "yxxyxyyxxyyxyxxy"
-    assert fixed_point_prefix(sub_xy, "y", 1) == "y"
+    assert MorphicStream(sub_xy, "x").prefix(5) == "xyyyx"
+    assert MorphicStream(tm_morphism, "y").prefix(16) == "yxxyxyyxxyyxyxxy"
+    assert MorphicStream(sub_xy, "y").prefix(1) == "y"
     # canonical ternary fixed point: start letter, tail yz, then iterated images
-    assert fixed_point_prefix(sub_xyz, "x", 7) == "x" + "yz" + "zxyz"
+    assert MorphicStream(sub_xyz, "x").prefix(7) == "x" + "yz" + "zxyz"
 
 
 def test_fixed_point_is_actually_fixed(sub_xy, sub_xyz):
     for m, start in [(sub_xy, "x"), (sub_xyz, "x")]:
-        w = fixed_point_prefix(m, start, 500)
+        w = MorphicStream(m, start).prefix(500)
         assert m.apply(w).startswith(w[: len(w) // 2])
 
 
 def test_fixed_point_not_prolongable():
     m = make_morphism("xy", x="yx", y="y")
     with pytest.raises(NotProlongableError):
-        fixed_point_prefix(m, "x", 5)
+        MorphicStream(m, "x")
     with pytest.raises(NotProlongableError):
-        fixed_point_prefix(m, "y", 5)  # tail is empty
+        MorphicStream(m, "y")  # tail is empty
 
 
 @given(n=st.integers(0, 200), k=st.integers(0, 50))
 @settings(max_examples=40, deadline=None)
 def test_fixed_point_prefix_stability(n, k, sub_xy):
-    assert fixed_point_prefix(sub_xy, "x", n + k)[:n] == fixed_point_prefix(sub_xy, "x", n)
+    assert MorphicStream(sub_xy, "x").prefix(n + k)[:n] == MorphicStream(sub_xy, "x").prefix(n)
 
 
 def _eager_fixed_point(m, start, n):
@@ -234,7 +233,7 @@ def _eager_fixed_point(m, start, n):
 def test_stream_matches_fixed_point(sub_xy):
     stream = MorphicStream(sub_xy, "x")
     reference = _eager_fixed_point(sub_xy, "x", 137)
-    assert stream.prefix(137) == fixed_point_prefix(sub_xy, "x", 137) == reference
+    assert stream.prefix(137) == reference
     assert stream.slice(10, 20) == reference[10:20]
 
 
@@ -314,7 +313,8 @@ def test_substitution_matches_morphism_apply(case):
 @pytest.mark.parametrize("period", ["x", "xy", "xyzzy"])
 @pytest.mark.parametrize("piece_size", [1, 2, 7, words.PIECE_SIZE])
 def test_periodic_stream_repeats_its_period(period, piece_size, monkeypatch):
-    # the stream grows by about a piece of whole periods at a time
+    # the piece size that sizes the morphic streams' growth leaves the
+    # periodic stream's prefixes and slices unchanged
     monkeypatch.setattr(words, "PIECE_SIZE", piece_size)
     stream = PeriodicStream(period)
     stop = 3 * piece_size + 11
@@ -322,6 +322,23 @@ def test_periodic_stream_repeats_its_period(period, piece_size, monkeypatch):
     for n in range(0, stop, max(piece_size // 3, 1)):
         assert stream.prefix(n) == reference[:n]
     assert stream.slice(stop - 7, stop) == reference[stop - 7 : stop]
+
+
+@given(
+    period=st.text(alphabet="xyz", min_size=1, max_size=7),
+    k=st.integers(0, 30),
+    bounds=st.tuples(st.integers(0, 240), st.integers(0, 240)),
+)
+@example(period="xyzzy", k=4, bounds=(3, 3))  # empty, off a period boundary
+@example(period="xyzzy", k=4, bounds=(13, 6))  # reversed
+@example(period="x", k=0, bounds=(0, 0))
+@settings(max_examples=200, deadline=None)
+def test_periodic_stream_slices_match_the_repeated_period(period, k, bounds):
+    # any range, with its start on or off a period boundary, is the same
+    # slice of enough copies of the period
+    start, stop = bounds
+    stop = min(stop, k * len(period))
+    assert PeriodicStream(period).slice(start, stop) == (period * k)[start:stop]
 
 
 @pytest.mark.parametrize("stream", [
@@ -354,26 +371,31 @@ def test_streams_of_letters_past_latin1_match_their_oracles(piece_size, monkeypa
         assert stream.slice(stop - 50, stop) == reference[stop - 50 : stop]
 
 
-def test_morphic_stream_reallocates_its_codes_a_logarithmic_number_of_times(sub_xy, monkeypatch):
-    # hundreds of pieces go into one buffer that doubles when full
+@pytest.mark.parametrize("m", [
+    make_morphism("xy", x="xy", y="yyx"),
+    make_morphism("xy", x="x" + "y" * 5_000, y="y" * 5_001 + "x"),
+], ids=["sub_xy", "long_images"])
+def test_morphic_stream_reallocates_its_codes_once_per_request(m, monkeypatch):
+    # hundreds of growths go into one buffer, sized by the request plus one growth
     monkeypatch.setattr(words, "PIECE_SIZE", 1_000)
-    stream = MorphicStream(sub_xy, "x")
-    grow, buffers, pieces = stream._grow, [stream._codes], 0
+    stream = MorphicStream(m, "x")
+    substitution, buffers = stream._substitution, [stream._codes]
 
-    def counted_grow():
-        nonlocal pieces
-        pieces += 1
-        if stream._codes is not buffers[-1]:
-            buffers.append(stream._codes)
-        return grow()
+    class RecordingSubstitution:
+        step, width = substitution.step, substitution.width
 
-    monkeypatch.setattr(stream, "_grow", counted_grow)
+        def __call__(self, piece):
+            if stream._codes is not buffers[-1]:
+                buffers.append(stream._codes)
+            return substitution(piece)
+
+    stream._substitution = RecordingSubstitution()
     n = 1_000_000
     assert len(stream.prefix(n)) == n
     if stream._codes is not buffers[-1]:
         buffers.append(stream._codes)
-    assert pieces > 300
-    assert len(buffers) - 1 <= 2 * np.log2(n)
+    assert len(buffers) - 1 <= 1
+    assert stream._codes.size <= n + substitution.step * substitution.width
 
 
 @pytest.mark.parametrize("m, start", [

@@ -99,15 +99,26 @@ CHECKS = (
     Check("scan-dmax2000", ("scan", "--spec", THUE_MORSE, "--dmax", "2000", "--horizons", "1000,100000"), 1,
           ("ap_lengths_d2000: .*",), seconds=10),
     # the Thue-Morse weight sums up to 1.6e7 letters are held only as one bit
-    # mask: about 0.5 s and 114 MB, so the 260 MB bound catches a return to an
-    # int64 array per letter (about 337 MB); exit 1 is the flagged verdict
+    # mask, and the prefix's text is dropped once encoded: about 0.5 s and
+    # 98 MB, so the 260 MB bound catches a return to an int64 array per
+    # letter (about 337 MB); exit 1 is the flagged verdict
     Check("scan-thue-morse-1.6e7", ("scan", "--spec", THUE_MORSE, "--dmax", "24", "--horizons", "100000,1000000,16000000"),
           1, FLAGGED, seconds=30, mb=260),
     # x -> xyz has no covering words, so no degree settles at the smallest
     # horizon and the scan builds the 1.6e7-letter sums as well; the only run
-    # of that path at scale: about 1.1 s and 139 MB; exit 1 is the flagged verdict
+    # of that path at scale: about 1.1 s and 124 MB; exit 1 is the flagged verdict
     Check("scan-xyz-1.6e7", ("scan", "--spec", SPEC, "--dmax", "24", "--horizons", "100000,1000000,16000000"), 1,
           FLAGGED, seconds=30, mb=260, spec="x y z\nx -> xyz\ny -> yz\nz -> z\nweights: 1 2 3\n"),
+    # the Thue-Morse factor counts up to length 32,768, the only run of the
+    # covering codes and the suffix automaton at that length: the 4 covering
+    # words phi^16(ac), 262,144 letters, in 344,067 automaton states;
+    # both sums equal the Brlek (1989) closed form summed to n = 16,384 and
+    # 32,768; about 0.5-0.75 s and 136 MB; the 170 MB bound (about 1.25x)
+    # catches one covering level more than needed, which doubles the automaton
+    # (243 MB, as growth --nvalues 32768 reads); the time varies by half from
+    # run to run, so the 10 s bound catches only a lost kernel
+    Check("growth-16384", ("growth", "--nvalues", "16384", "--horizon", "131072"), 0,
+          ("cumulative: 424998233", "cumulative_at_2n: 1700042073", "quadratic: true"), seconds=10, mb=170),
 )
 
 

@@ -301,14 +301,15 @@ def report_errors(fn, *args) -> int:
     """Call fn(*args) and return its exit code (None counts as 0).  A usage
     error or malformed input prints one `error: ...` line on stderr and gives
     2; an inconclusive run prints one `inconclusive: ...` line and gives 3.
+    An exception without text, such as a bare MemoryError, is named by its type.
     The ``wordalg`` command and ``scripts/operator_report.py`` share this mapping."""
     try:
         return fn(*args) or 0
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except (rowen.IndexExceedsTruncationError, OverflowError, MemoryError) as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
+        print(f"inconclusive: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

@@ -15,12 +15,12 @@ difference D in the weight-sum set that keeps growing with the horizon
 witnesses a nonvanishing product of degree-D monomials; ``longest_ap`` finds
 the longest by shift-and doubling on the set held as one int.  That int is
 the whole set: it is packed from a mask of one byte per unit of weight,
-built from the letter codes a piece at a time, and no array holds a sum or a
-weight per letter.
+built from letter codes (a prefix's text encoded once, or the covering codes)
+a piece at a time, and no array holds a sum or a weight per letter.
 
 The longest AP of difference D at the smallest horizon, m, never exceeds the
 supremum over the whole infinite word, the nilpotency index in degree D.  When
-the stream's covering words (``words.covering_words``) show no longer AP, m is
+the stream's covering words (``words.covering_codes``) show no longer AP, m is
 that supremum, so the scan reports m at every horizon without reading the
 longer prefixes for that degree.  The scan always builds the smallest
 horizon's prefix and sums first, and the largest horizon's only when some
@@ -46,7 +46,7 @@ from .words import (
     Substitution,
     analyze_morphism,
     check_weights,
-    covering_words,
+    covering_codes,
     encode,
     format_morphism_spec,
     has_covering_words,
@@ -80,17 +80,16 @@ def _weight(codes: np.ndarray, weights: tuple[int, ...]) -> int:
     return sum(int(np.count_nonzero(codes == i)) * w for i, w in enumerate(weights))
 
 
-def _text_sums(text: str, letters, weights: tuple[int, ...]) -> WeightSumSet:
-    """Weight-sum set of ``text``, letter i of ``letters`` weighing weights[i].
+def _code_sums(codes: np.ndarray, weights: tuple[int, ...]) -> WeightSumSet:
+    """Weight-sum set of the letter codes ``codes``, letter i weighing weights[i].
 
     Byte v of its mask is 1 iff v is a weight sum, so the mask is the image
-    of ``text`` under the ``Substitution`` c -> 1 0^(w_c - 1), followed by a
+    of ``codes`` under the ``Substitution`` c -> 1 0^(w_c - 1), followed by a
     final 1, packed to bits.  It is built a piece at a time, the images of
     one substitution ``step`` of letters.  Images are cut at the mask's length,
     so neither a piece nor an image outgrows the mask, and no array holds a
     value per letter.  Raises OverflowError when the total weight does not
     fit in int64, and MemoryError when the mask does not fit in memory."""
-    codes = encode(text, letters)
     total = _weight(codes, weights)
     if total >= 2**63:
         raise OverflowError(f"total weight {total} of {codes.size} letters exceeds int64")
@@ -115,15 +114,15 @@ def _head(sumset: WeightSumSet, codes: np.ndarray) -> WeightSumSet:
 def weight_sum_prefix(stream: PrefixStream, weights, n: int) -> WeightSumSet:
     """Weight-sum set over the first ``n`` letters of the stream."""
     weights = check_weights(stream.alphabet, weights)
-    return _text_sums(stream.prefix(n), stream.alphabet.letters, weights)
+    return _code_sums(encode(stream.prefix(n), stream.alphabet.letters), weights)
 
 
 def covering_sums(stream: PrefixStream, weights, k: int) -> list[WeightSumSet]:
-    """Weight-sum sets of ``covering_words(stream, k)``, whose factors are
+    """Weight-sum sets of ``covering_codes(stream, k)``, whose factors are
     every factor of length <= k of the stream's word; raises ValueError for
-    a stream that ``covering_words`` rejects."""
+    a stream that ``covering_codes`` rejects."""
     weights = check_weights(stream.alphabet, weights)
-    return [_text_sums(word, stream.alphabet.letters, weights) for word in covering_words(stream, k)]
+    return [_code_sums(codes, weights) for codes in covering_codes(stream, k)]
 
 
 def is_ap_supremum(covers: list[WeightSumSet], difference: int, m: int) -> bool:

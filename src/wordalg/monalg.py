@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .words import FactorIndex, PrefixStream, check_letters, is_cube_free
+from .words import FactorIndex, PrefixStream, check_letters, encode, is_cube_free
 
 
 class HorizonWarning(UserWarning):
@@ -59,7 +59,7 @@ class WordFactorView(AlgebraView):
 
     def factor_index(self) -> FactorIndex:
         if self._index is None:
-            self._index = FactorIndex(self.stream.prefix(self.horizon), self.letters)
+            self._index = FactorIndex([encode(self.stream.prefix(self.horizon), self.letters)], self.letters)
         return self._index
 
     def is_zero_monomial(self, word: str) -> bool:

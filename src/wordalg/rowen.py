@@ -19,7 +19,7 @@ from math import lcm
 
 import numpy as np
 
-from .words import FactorIndex, MorphicStream, PrefixStream, covering_words, decode, exact_factor_counts, make_morphism
+from .words import FactorIndex, MorphicStream, PrefixStream, covering_codes, decode, exact_factor_counts, make_morphism
 
 DEFAULT_MARGIN = 64
 
@@ -247,7 +247,7 @@ def vanishing_matches_factor(word: str, evaluated: BandMatrix) -> bool:
     if not word:
         raise ValueError("word must be nonempty")
     zero = evaluated.is_zero()
-    factor = word in FactorIndex(covering_words(tm_word_stream(), len(word)), WORD_LETTERS)
+    factor = word in FactorIndex(covering_codes(tm_word_stream(), len(word)), WORD_LETTERS)
     if zero and factor:
         raise _vanishing_factor(word, evaluated.size)
     return zero != factor
@@ -269,16 +269,16 @@ def correspondence_scan(max_len: int, n: int, margin: int = DEFAULT_MARGIN) -> C
     """Compare zero-evaluation with factor absence for every word of length
     <= max_len.  Entry t of a word's band is the product of its letters read
     at bits t+1, t+2, ..., so the nonzero words of length L are the length-L
-    windows of the first n-1 bits; the factors are exact (``covering_words``).
-    A nonzero word that is not a factor is a mismatch; a factor that is zero
-    raises MarginTooSmallError."""
-    limit = FactorIndex("", WORD_LETTERS).packed_limit
+    windows of the first n-1 bits, which are their letter codes; the factors
+    are exact, read from ``covering_codes``.  A nonzero word that is not a
+    factor is a mismatch; a factor that is zero raises MarginTooSmallError."""
+    limit = FactorIndex([], WORD_LETTERS).packed_limit
     if not 1 <= max_len <= limit:
         raise ValueError(f"max_len must be between 1 and {limit}, got {max_len}")
     if n <= max_len + margin:
         raise MarginTooSmallError(f"need truncation > {max_len + margin}")
-    nonzero = FactorIndex(THUE_MORSE.word_prefix(n - 1), WORD_LETTERS)
-    factors = FactorIndex(covering_words(tm_word_stream(), max_len), WORD_LETTERS)
+    nonzero = FactorIndex([THUE_MORSE.bits(n - 1)], WORD_LETTERS)
+    factors = FactorIndex(covering_codes(tm_word_stream(), max_len), WORD_LETTERS)
     mismatches = []
     for length in range(1, max_len + 1):
         seen, exact = nonzero.of_length(length), factors.of_length(length)
@@ -329,7 +329,7 @@ def nilpotency_index(element, side: str) -> int:
     when no factor of length k*s splits into k words with nonzero
     coefficients.  The first 8 * 2^j bits are phi^(j+3)(y), and phi^3(y) =
     yxxyxyyx has all four 2-factors ac, so they hold every covering word
-    phi^j(ac) and thus every factor of length <= 2^j (``covering_words``).
+    phi^j(ac) and thus every factor of length <= 2^j (``covering_codes``).
     Band powers there that vanish first at k with k*s <= 2^j give the exact
     index; otherwise the prefix grows.  Past NILPOTENCY_PREFIX_CAP bits the
     search raises IndexExceedsTruncationError."""

@@ -1,15 +1,15 @@
 """Alphabets, finite words, substitution morphisms and their fixed points.
 
-Finite words are plain Python strings; every letter of an alphabet is a
-single character.  Prefix streams give the letter codes of a range and
-decode them to text on demand.  ``encode`` and ``decode`` are the one place where letters become
-numbers (positions in a letter tuple) and back, each in one pass of a C
-codec: Latin-1 bytes translated through a 256-byte table (or a UTF-32 table
-lookup for letters past Latin-1) one way, the charmap codec the other.  All
-matrix and counting arithmetic in this module is exact integer arithmetic
-(numpy is used only for letter codes, image tables and the packed window
-codes of ``FactorIndex``, whose lengths up to the uint16 limit all read one
-sorted table of the longest such windows).
+Finite words are given as strings of single-character letters.  Between
+layers they pass as uint8 letter codes (positions in a letter tuple):
+prefix streams give the codes of a range, and the covering words and
+``FactorIndex`` take codes.  ``encode`` and ``decode`` turn text into codes
+and back, each in one pass of a C codec: Latin-1 bytes translated through a
+256-byte table (or a UTF-32 table lookup for letters past Latin-1) one way,
+the charmap codec the other.  All matrix and counting arithmetic in this
+module is exact integer arithmetic (numpy is used only for letter codes,
+image tables and the packed window codes of ``FactorIndex``, whose lengths
+up to the uint16 limit all read one sorted table of the longest such windows).
 """
 
 from __future__ import annotations
@@ -445,40 +445,39 @@ def _sorted_distinct(codes: np.ndarray) -> np.ndarray:
 
 
 class FactorIndex:
-    """The distinct factors of one fixed text over ``letters``, or of several
-    (the union of their factors; no window crosses from one text into the
-    next), by length.
+    """The distinct factors of fixed words over ``letters``, given as letter
+    codes (see ``encode``), by length: the union of their factors; no window
+    crosses from one word into the next.
 
-    Letters are coded by ``encode``.  Each length-k window is packed into one
-    unsigned integer in base b = max(|A|, 2), which is exact while b^k is
-    below 2^63 (``packed_limit``: 62, 31 and 18 for 2, 4 and 10 letters);
-    the windows are sorted, a long text's ``WINDOW_RUN`` at a time, and the
-    distinct codes are decoded once into a cached ``frozenset``.  Texts are kept
-    as codes only, and a longer word is searched in each text decoded again.
-    Absence only means "not in these texts".
+    Each length-k window is packed into one unsigned integer in base
+    b = max(|A|, 2), which is exact while b^k is below 2^63
+    (``packed_limit``: 62, 31 and 18 for 2, 4 and 10 letters); the windows
+    are sorted, a long word's ``WINDOW_RUN`` at a time, and the distinct
+    codes are decoded once into a cached ``frozenset``.  A longer query is
+    searched in each word decoded.  Absence only means "not in these words".
 
     Lengths up to T, the longest whose codes fit in uint16 (16, 10, 8 and 4
     for 2, 3, 4 and 10 letters), share one window table: the sorted distinct
     codes of the T-windows, built on the first such query.  A k-window is
     the first k letters of a T-window, whose code divided by b^(T-k) is the
-    k-window's, unless it starts in a text's last T - 1 letters; those few
+    k-window's, unless it starts in a word's last T - 1 letters; those few
     are packed apart and sorted in with the divided table.  Longer lengths
     pack and sort their own windows.  Duplicates are dropped by comparing
     neighbours after each sort, not by ``np.unique`` or ``np.union1d``: the
     first call of either imports ``numpy.ma``, about 14 ms.
     """
 
-    def __init__(self, texts: str | Iterable[str], letters):
+    def __init__(self, codes: Iterable[np.ndarray], letters):
         self.letters = letters = tuple(letters)
         self._base = max(len(letters), 2)
         self.packed_limit = _longest_power(self._base, 2**63 - 1)
         self._table_length = _longest_power(self._base, 2**16)
         self._table: np.ndarray | None = None  # sorted distinct codes of the T-windows
-        self._digits = [encode(text, letters) for text in ((texts,) if isinstance(texts, str) else texts)]
+        self._digits = list(codes)
         self._sets: dict[int, frozenset[str]] = {0: frozenset({""})}
 
     def of_length(self, k: int) -> frozenset[str]:
-        """The distinct length-k factors of the texts."""
+        """The distinct length-k factors of the words."""
         if not 0 <= k <= self.packed_limit:
             raise ValueError(f"lengths 0..{self.packed_limit} are packed, got {k}")
         found = self._sets.get(k)
@@ -536,62 +535,62 @@ class FactorIndex:
 
 
 def has_covering_words(stream: PrefixStream) -> bool:
-    """True iff ``covering_words`` accepts the stream: a periodic word or the
+    """True iff ``covering_codes`` accepts the stream: a periodic word or the
     fixed point of a primitive morphism."""
     return isinstance(stream, PeriodicStream) or (
         isinstance(stream, MorphicStream) and is_primitive(stream.morphism)
     )
 
 
-def covering_words(stream: PrefixStream, k: int) -> list[str]:
-    """Short words whose factors of length <= k are exactly the factors of
-    length <= k of the stream's infinite word.  Builds no prefix.
+def covering_codes(stream: PrefixStream, k: int) -> list[np.ndarray]:
+    """Letter codes of short words whose factors of length <= k are exactly
+    the factors of length <= k of the stream's infinite word.  Builds no prefix.
 
-    For the fixed point of a primitive morphism f, every factor of length
-    <= k lies in f^j(ac) for a 2-factor ac of the word, once every
-    |f^j(letter)| >= k; the 2-factors are those of f(start), closed under
-    adding the 2-factors of f(ac) (uniform recurrence; Allouche & Shallit,
-    *Automatic Sequences*, ch. 7 and 10).  For a periodic word u^ω, every
-    factor of length <= k lies in u repeated ceil(k/|u|) + 1 times.  Any
-    other stream raises ValueError.
+    For the fixed point w of a primitive morphism f, every factor of length
+    <= k lies in f^j(ac) for a 2-factor ac of w, once every |f^j(letter)| >= k
+    (uniform recurrence; Allouche & Shallit, *Automatic Sequences*, ch. 7 and
+    10).  The 2-factors are w_0 w_1 closed under adding the 2-factors of
+    f(ac): the closure holds the 2-factors of f(u) whenever it holds those of
+    u, so those of every f^j(w_0 w_1), a prefix of w; every 2-factor of w lies
+    in such a prefix.  f is the stream's own ``Substitution``, applied j times
+    for f^j.  For a periodic word u^ω, every factor of length <= k lies in u
+    repeated ceil(k/|u|) + 1 times.  Any other stream raises ValueError.
     """
     if k < 0:
         raise ValueError("length must be nonnegative")
     if not has_covering_words(stream):
         raise ValueError("exact factors need a periodic word or the fixed point of a primitive morphism")
     if isinstance(stream, PeriodicStream):
-        period = stream.period
-        return [period * (-(-k // len(period)) + 1)]
-    m = stream.morphism
-    letters = m.alphabet.letters
-    pairs: frozenset[str] = frozenset()
-    new = FactorIndex(m.images[stream.start], letters).of_length(2)
+        return [np.tile(stream._period_codes, -(-k // len(stream.period)) + 1)]
+    f, images = stream._substitution, stream.morphism.images
+    pairs, new = set(), {tuple(stream.codes(0, 2).tolist())}
     while new:
         pairs |= new
-        new = FactorIndex([m.apply(ac) for ac in new], letters).of_length(2) - pairs
-    lengths = dict.fromkeys(letters, 1)  # |f^j(letter)|
-    j = 0
+        f_new = [f(np.array(ac, dtype=np.uint8)).tolist() for ac in new]
+        new = {pair for image in f_new for pair in zip(image, image[1:])} - pairs
+    covers = [np.array(ac, dtype=np.uint8) for ac in sorted(pairs)]
+    lengths = dict.fromkeys(images, 1)  # |f^j(letter)|, with f^j(ac) in covers
     while min(lengths.values()) < k:
-        lengths = {c: sum(lengths[d] for d in m.images[c]) for c in lengths}
-        j += 1
-    return [m.iterate(ac, j) for ac in sorted(pairs)]
+        lengths = {c: sum(lengths[d] for d in images[c]) for c in lengths}
+        covers = [f(codes) for codes in covers]
+    return covers
 
 
 def exact_factor_counts(stream: PrefixStream, k: int) -> list[int]:
     """counts[L] = number of distinct factors of length L of the stream's
-    infinite word, for L = 0..k, read from ``covering_words``.
+    infinite word, for L = 0..k, read from ``covering_codes``.
 
-    The covering words are joined, each followed by its own separator (an
-    int, so never a letter), and counted by one ``SuffixAutomaton``.  A
-    window that holds a separator is unlike every other window, so the
-    factors of the words alone are the automaton's count minus the number of
-    windows that hold a separator.
+    The covering codes are joined, each word followed by its own separator
+    (a negative int, so never a letter code), and counted by one
+    ``SuffixAutomaton``.  A window that holds a separator is unlike every
+    other window, so the factors of the words alone are the automaton's
+    count minus the number of windows that hold a separator.
     """
-    texts = covering_words(stream, k)
-    joined = [s for i, w in enumerate(texts) for s in (*w, i)]
+    covers = covering_codes(stream, k)
+    joined = [s for i, codes in enumerate(covers) for s in (*codes.tolist(), -1 - i)]
     counts = SuffixAutomaton(joined).factor_counts(k)
     for length in range(1, k + 1):
-        inside_words = sum(max(len(w) - length + 1, 0) for w in texts)
+        inside_words = sum(max(codes.size - length + 1, 0) for codes in covers)
         counts[length] -= len(joined) - length + 1 - inside_words
     return counts
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from wordalg import rowen
 from wordalg.cli import emit_report, run
 from wordalg.monalg import HorizonWarning
+from wordalg.words import encode
 
 REPO = Path(__file__).resolve().parent.parent
 REPO_MORPHISMS = REPO / "morphisms"
@@ -343,7 +344,7 @@ def test_rowen_command_factor_past_the_truncation_exits_two(capsys):
 
 
 def test_rowen_command_nonzero_word_that_is_no_factor_exits_one(monkeypatch, capsys):
-    monkeypatch.setattr(rowen, "covering_words", lambda stream, k: ["yxx"])
+    monkeypatch.setattr(rowen, "covering_codes", lambda stream, k: [encode("yxx", "xy")])
     assert run(["rowen", "--N", "512", "--maxlen", "2"]) == 1
     assert _record(capsys)[1]["correspondence_mismatches"] == "2"
     assert run(["rowen", "--N", "512", "--word", "ba"]) == 1
@@ -647,6 +648,21 @@ def test_rowen_nilpotency_prefix_cap_is_inconclusive(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "inconclusive: the nilpotency index needs more than 16 Thue-Morse bits\n"
+
+
+@pytest.mark.parametrize("exc, code, line", [
+    (MemoryError(), 3, "inconclusive: MemoryError\n"),
+    (ValueError(), 2, "error: ValueError\n"),
+])
+def test_an_exception_without_text_is_named_by_its_type(monkeypatch, capsys, exc, code, line):
+    # a failed allocation raises a MemoryError with no text at all
+    def raise_it(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(rowen, "growth_profile", raise_it)
+    assert run(["growth", "--nvalues", "64", "--horizon", "1000"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == line
 
 
 def test_rowen_nilpotency_index_does_not_depend_on_the_truncation(capsys):

@@ -26,6 +26,7 @@ from wordalg.words import (
     MorphicStream,
     NotProlongableError,
     PeriodicStream,
+    encode,
     is_primitive,
     make_morphism,
     parse_morphism_spec,
@@ -185,7 +186,7 @@ def _running_sum_bits(text, weight_of):
 @settings(max_examples=100, deadline=None)
 def test_text_sums_match_running_sums_when_a_letter_outweighs_the_text(text, weights):
     weight_of = dict(zip("xyz", weights))
-    assert grading._text_sums(text, "xyz", weights).bits == _running_sum_bits(text, weight_of)
+    assert grading._code_sums(encode(text, "xyz"), weights).bits == _running_sum_bits(text, weight_of)
 
 
 @given(case=weighted_prefixes())

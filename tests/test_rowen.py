@@ -28,7 +28,7 @@ from wordalg.rowen import (
     tm_word_stream,
     vanishing_matches_factor,
 )
-from wordalg.words import FactorIndex, PeriodicStream, covering_words
+from wordalg.words import FactorIndex, PeriodicStream, covering_codes, decode, encode
 
 
 # -- bits ---------------------------------------------------------------------
@@ -286,7 +286,7 @@ def _tm_factors(length):
 def test_correspondence_scan_matches_word_by_word_evaluation(max_len, data):
     n = data.draw(st.integers(max_len + 1, 80))
     # the scan's nonzero words: the windows of the first n - 1 bits
-    nonzero = FactorIndex(THUE_MORSE.word_prefix(n - 1), ("x", "y"))
+    nonzero = FactorIndex([encode(THUE_MORSE.word_prefix(n - 1), "xy")], ("x", "y"))
     vanishing_factor = None
     for length in range(1, max_len + 1):
         zero = set()
@@ -309,7 +309,7 @@ def test_correspondence_scan_matches_word_by_word_evaluation(max_len, data):
 
 def test_a_nonzero_word_that_is_no_factor_is_a_mismatch(monkeypatch):
     # with too few covering words, xy and yy are nonzero but not "factors"
-    monkeypatch.setattr(rowen, "covering_words", lambda stream, k: ["yxx"])
+    monkeypatch.setattr(rowen, "covering_codes", lambda stream, k: [encode("yxx", "xy")])
     assert correspondence_scan(2, 512).mismatches == ("xy", "yy")
     assert not vanishing_matches_factor("xy", evaluate_word("xy", 512))
 
@@ -370,10 +370,11 @@ def test_prefix_of_eight_blocks_holds_every_short_factor():
     # the first 8 * 2^j letters are phi^(j+3)(y), which holds phi^j(ac) for
     # every 2-factor ac: the covering words of the factors of length <= 2^j
     for j in range(11):
-        prefix = FactorIndex(THUE_MORSE.word_prefix(8 << j), ("x", "y"))
-        covering = covering_words(tm_word_stream(), 1 << j)
+        prefix = FactorIndex([encode(THUE_MORSE.word_prefix(8 << j), "xy")], ("x", "y"))
+        codes = covering_codes(tm_word_stream(), 1 << j)
+        covering = [decode(word, "xy") for word in codes]
         assert all(word in prefix for word in covering)
-        exact = FactorIndex(covering, ("x", "y"))
+        exact = FactorIndex(codes, ("x", "y"))
         for length in range(min(1 << j, prefix.packed_limit) + 1):
             assert prefix.of_length(length) == exact.of_length(length)
         # half the prefix, phi^(j+2)(y) = phi^j(yxxy), lacks phi^j(yy)
@@ -390,7 +391,7 @@ def _split_index(element, side):
     k = 1
     while True:
         length = k * stride
-        factors = FactorIndex(covering_words(tm_word_stream(), length), ("x", "y")).of_length(length)
+        factors = FactorIndex(covering_codes(tm_word_stream(), length), ("x", "y")).of_length(length)
         if not any(all(f[i : i + stride] in support for i in range(0, length, stride)) for f in factors):
             return k
         k += 1

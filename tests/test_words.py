@@ -18,7 +18,7 @@ from wordalg.words import (
     SuffixAutomaton,
     Substitution,
     analyze_morphism,
-    covering_words,
+    covering_codes,
     decode,
     encode,
     exact_det,
@@ -417,21 +417,21 @@ def test_morphic_stream_builds_about_what_is_asked(m, start):
 
 
 def test_factor_set_examples(tm_stream):
-    index = FactorIndex(tm_stream.prefix(16), "xy")
+    index = FactorIndex([encode(tm_stream.prefix(16), "xy")], "xy")
     assert index.of_length(1) == {"x", "y"}
     assert "" in index
-    index = FactorIndex(tm_stream.prefix(10_000), "xy")
+    index = FactorIndex([encode(tm_stream.prefix(10_000), "xy")], "xy")
     assert "yyy" not in index
     assert "xxx" not in index
 
 
 def test_factor_set_periodic():
-    index = FactorIndex(PeriodicStream("xy").prefix(100), "xy")
+    index = FactorIndex([encode(PeriodicStream("xy").prefix(100), "xy")], "xy")
     assert index.of_length(2) == {"xy", "yx"}
 
 
 def test_factor_set_subword_closed(xy_stream):
-    index = FactorIndex(xy_stream.prefix(2000), "xy")
+    index = FactorIndex([encode(xy_stream.prefix(2000), "xy")], "xy")
     for k in range(5):
         for f in index.of_length(k):
             for i in range(len(f)):
@@ -441,18 +441,18 @@ def test_factor_set_subword_closed(xy_stream):
 
 def test_factor_set_stabilizes(xy_stream, tm_stream):
     for stream in (xy_stream, tm_stream):
-        short = FactorIndex(stream.prefix(5000), "xy")
-        doubled = FactorIndex(stream.prefix(10_000), "xy")
+        short = FactorIndex([encode(stream.prefix(5000), "xy")], "xy")
+        doubled = FactorIndex([encode(stream.prefix(10_000), "xy")], "xy")
         for k in range(5):
             assert short.of_length(k) == doubled.of_length(k)
 
 
 def test_complexity_examples(tm_stream):
-    assert len(FactorIndex(tm_stream.prefix(100), "xy").of_length(0)) == 1
-    tm = FactorIndex(tm_stream.prefix(10_000), "xy")
+    assert len(FactorIndex([encode(tm_stream.prefix(100), "xy")], "xy").of_length(0)) == 1
+    tm = FactorIndex([encode(tm_stream.prefix(10_000), "xy")], "xy")
     assert len(tm.of_length(1)) == 2
     assert len(tm.of_length(2)) == 4
-    assert len(FactorIndex(PeriodicStream("xy").prefix(1000), "xy").of_length(5)) == 2
+    assert len(FactorIndex([encode(PeriodicStream("xy").prefix(1000), "xy")], "xy").of_length(5)) == 2
 
 
 def _naive_factors(text, k):
@@ -465,7 +465,7 @@ def test_factor_index_matches_naive_slice_sets(data):
     letters = data.draw(st.sampled_from(["x", "xy", "xy\u2192Y", "x\U0001f600", "0123456789"]))
     # one text, or several whose windows never cross from one into the next
     texts = data.draw(st.lists(st.text(alphabet=letters, max_size=150), min_size=1, max_size=3))
-    index = FactorIndex(texts[0] if len(texts) == 1 else texts, letters)
+    index = FactorIndex([encode(text, letters) for text in texts], letters)
 
     def naive(k):
         return set().union(*(_naive_factors(text, k) for text in texts))
@@ -497,7 +497,7 @@ def test_factor_index_lengths_across_the_window_table(data):
     # T, the longest length whose codes fit in uint16, by alphabet size
     table = {1: 16, 2: 16, 3: 10, 4: 8, 5: 6, 6: 6, 7: 5, 8: 5, 9: 5, 10: 4}[len(letters)]
     with mock.patch.object(words, "WINDOW_RUN", run):
-        index = FactorIndex(texts, letters)
+        index = FactorIndex([encode(text, letters) for text in texts], letters)
         lengths = list(range(1, min(index.packed_limit, table + 2) + 1))
         for k in data.draw(st.permutations(lengths)):  # the table is built by whichever comes first
             assert index.of_length(k) == set().union(*(_naive_factors(text, k) for text in texts))
@@ -508,21 +508,21 @@ def test_factor_index_finds_long_words_inside_one_text_only():
     # past packed_limit a word is searched in each text's decoded codes; a
     # word that straddles two texts is no factor of either
     first, second = "xy" * 40, "yyx" * 30
-    index = FactorIndex([first, second], "xy")
+    index = FactorIndex([encode(first, "xy"), encode(second, "xy")], "xy")
     assert not hasattr(index, "texts")
     k = index.packed_limit + 1
     assert first[1 : 1 + k] in index and second[2 : 2 + k] in index
     straddle = first[-(k // 2) :] + second[: k - k // 2]
     assert len(straddle) == k and straddle not in first and straddle not in second
     assert straddle not in index
-    assert straddle in FactorIndex(first + second, "xy")
+    assert straddle in FactorIndex([encode(first + second, "xy")], "xy")
     assert "xz" * k not in index  # a foreign letter is no factor
 
 
 def test_factor_index_of_an_interleaved_prefix_matches_slice_sets(tilde_stream):
     # four letters: lengths up to 8 come from the window table, 9 and 10 do not
     text = tilde_stream.prefix(200_000)
-    index = FactorIndex(text, tilde_stream.alphabet.letters)
+    index = FactorIndex([encode(text, tilde_stream.alphabet.letters)], tilde_stream.alphabet.letters)
     for k in range(1, 11):
         assert index.of_length(k) == _naive_factors(text, k)
 
@@ -532,7 +532,7 @@ def test_factor_index_rejects_foreign_letters():
     # ("\x01" read as y made xy and yx factors of x\x01x)
     for text in ("xyz", "x\u2192", "x\x01x", "\x00"):
         with pytest.raises(ValueError):
-            FactorIndex(text, "xy")
+            FactorIndex([encode(text, "xy")], "xy")
 
 
 # -- letter codes ---------------------------------------------------------------
@@ -740,8 +740,50 @@ def test_exact_counts_match_the_thue_morse_closed_form(tm_stream):
 
 def test_covering_words_are_factors_of_the_word(sub_xyz):
     text = MorphicStream(sub_xyz, "x").prefix(100_000)
-    words_ = covering_words(MorphicStream(sub_xyz, "x"), 16)
+    words_ = [decode(codes, "xyz") for codes in covering_codes(MorphicStream(sub_xyz, "x"), 16)]
     assert words_ and all(w in text for w in words_)
+
+
+@st.composite
+def primitive_morphisms(draw):
+    """Primitive morphisms over 2-3 letters with images of 1-3 letters,
+    prolongable on x (no image is empty, so no letter is mortal)."""
+    letters = "xyz"[: draw(st.integers(2, 3))]
+    images = {c: draw(st.text(alphabet=letters, min_size=1, max_size=3)) for c in letters}
+    images["x"] = "x" + draw(st.text(alphabet=letters, min_size=1, max_size=2))
+    m = make_morphism(letters, **images)
+    assume(is_primitive(m))
+    return m
+
+
+def _two_windows(covers, letters):
+    return set().union(*(_naive_factors(decode(codes, letters), 2) for codes in covers))
+
+
+@given(m=primitive_morphisms(), k=st.integers(0, 24))
+@settings(max_examples=60, deadline=None)
+def test_covering_codes_are_the_iterated_images_of_every_2_factor(m, k):
+    # the oracle iterates f on text; the letters are in alphabetical order,
+    # so sorted text is sorted codes
+    letters = m.alphabet.letters
+    pairs = _naive_factors(MorphicStream(m, "x").prefix(100_000), 2)
+    j = 0
+    while min(len(m.iterate(c, j)) for c in letters) < k:
+        j += 1
+    covers = covering_codes(MorphicStream(m, "x"), k)
+    assert [codes.tolist() for codes in covers] == [encode(m.iterate(ac, j), letters).tolist() for ac in sorted(pairs)]
+    assert _two_windows(covers, letters) == pairs
+
+
+@given(period=st.text(alphabet="xyz", min_size=1, max_size=7), k=st.integers(0, 20))
+@settings(max_examples=60, deadline=None)
+def test_covering_codes_of_a_periodic_word_repeat_its_period(period, k):
+    stream = PeriodicStream(period)
+    letters = stream.alphabet.letters
+    covers = covering_codes(stream, k)
+    assert [codes.tolist() for codes in covers] == [encode(period * (-(-k // len(period)) + 1), letters).tolist()]
+    if k >= 2:  # shorter covers need not hold every 2-factor
+        assert _two_windows(covers, letters) == _naive_factors(stream.prefix(100_000), 2)
 
 
 def test_exact_counts_need_a_primitive_morphism_or_a_period():

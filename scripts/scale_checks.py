@@ -98,17 +98,21 @@ CHECKS = (
     # to a per-class loop; exit 1 is the flagged verdict
     Check("scan-dmax2000", ("scan", "--spec", THUE_MORSE, "--dmax", "2000", "--horizons", "1000,100000"), 1,
           ("ap_lengths_d2000: .*",), seconds=10),
-    # the Thue-Morse weight sums up to 1.6e7 letters are held only as one bit
-    # mask, and the prefix's text is dropped once encoded: about 0.5 s and
-    # 98 MB, so the 260 MB bound catches a return to an int64 array per
-    # letter (about 337 MB); exit 1 is the flagged verdict
+    # the Thue-Morse weight sums up to 1.6e7 letters are composed from the
+    # sets of f^j(x) and f^j(y), held as ints, and no letter is built: about
+    # 0.35 s and 45 MB, so the 68 MB bound (about 1.5x) catches a return to
+    # building the prefix and a byte mask per unit of weight (98 MB) or an
+    # int64 array per letter (about 337 MB); exit 1 is the flagged verdict
     Check("scan-thue-morse-1.6e7", ("scan", "--spec", THUE_MORSE, "--dmax", "24", "--horizons", "100000,1000000,16000000"),
-          1, FLAGGED, seconds=30, mb=260),
+          1, FLAGGED, seconds=30, mb=68),
     # x -> xyz has no covering words, so no degree settles at the smallest
-    # horizon and the scan builds the 1.6e7-letter sums as well; the only run
-    # of that path at scale: about 1.1 s and 124 MB; exit 1 is the flagged verdict
+    # horizon and the scan builds the 1.6e7-letter sums as well; its blocks
+    # f^j(yz) grow linearly, so they are about 5,700 levels deep, the only
+    # run of such a descent at scale: about 1.0 s and 73 MB, so the 110 MB
+    # bound (about 1.5x) catches a return to the prefix and its byte mask
+    # (124 MB); exit 1 is the flagged verdict
     Check("scan-xyz-1.6e7", ("scan", "--spec", SPEC, "--dmax", "24", "--horizons", "100000,1000000,16000000"), 1,
-          FLAGGED, seconds=30, mb=260, spec="x y z\nx -> xyz\ny -> yz\nz -> z\nweights: 1 2 3\n"),
+          FLAGGED, seconds=30, mb=110, spec="x y z\nx -> xyz\ny -> yz\nz -> z\nweights: 1 2 3\n"),
     # the Thue-Morse factor counts up to length 32,768, the only run of the
     # covering codes and the suffix automaton at that length: the 4 covering
     # words phi^16(ac), 262,144 letters, in 344,067 automaton states;

@@ -14,16 +14,22 @@ The empirical counterpart is the AP scan: an arithmetic progression of
 difference D in the weight-sum set that keeps growing with the horizon
 witnesses a nonvanishing product of degree-D monomials; ``longest_ap`` finds
 the longest by shift-and doubling on the set held as one int.  That int is
-the whole set: it is packed from a mask of one byte per unit of weight,
-built from letter codes (a prefix's text encoded once, or the covering codes)
-a piece at a time, and no array holds a sum or a weight per letter.
+the whole set, and no array holds a sum or a weight per letter.  The set of
+a concatenation is S(uv) = S(u) | S(v) << W(u), W the weight, so the sets of
+a fixed point are composed, not read: with f(s) = s v, the word is
+s v f(v) f^2(v) ... (Allouche & Shallit, *Automatic Sequences*, ch. 7), each
+f^j(c) is f^(j-1) of the letters of f(c) laid end to end, and the sets,
+lengths and weights of level j follow from those of level j - 1
+(``_FixedPointSums``), with no letter built.  Every other stream's set, and
+each covering word's, is packed from a mask of one byte per unit of weight,
+laid from the letter codes a piece at a time (``_code_sums``).
 
 The longest AP of difference D at the smallest horizon, m, never exceeds the
 supremum over the whole infinite word, the nilpotency index in degree D.  When
 the stream's covering words (``words.covering_codes``) show no longer AP, m is
 that supremum, so the scan reports m at every horizon without reading the
 longer prefixes for that degree.  The scan always builds the smallest
-horizon's prefix and sums first, and the largest horizon's only when some
+horizon's sums first, and the largest horizon's only when some
 degree is left open (always, for a stream without covering words: the fixed
 point of a morphism that is not primitive).  Every other horizon's set is cut
 from the largest one, at that horizon's prefix weight.  A length that grows
@@ -33,7 +39,9 @@ there is bounded, so it is not flagged.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +61,7 @@ from .words import (
     incidence_matrix,
     is_prolongable,
     mat_vec,
+    mortal_letters,
     parikh,
 )
 
@@ -80,6 +89,12 @@ def _weight(codes: np.ndarray, weights: tuple[int, ...]) -> int:
     return sum(int(np.count_nonzero(codes == i)) * w for i, w in enumerate(weights))
 
 
+def _check_total(total: int, n: int):
+    """Raises OverflowError when a total weight of n letters does not fit in int64."""
+    if total >= 2**63:
+        raise OverflowError(f"total weight {total} of {n} letters exceeds int64")
+
+
 def _code_sums(codes: np.ndarray, weights: tuple[int, ...]) -> WeightSumSet:
     """Weight-sum set of the letter codes ``codes``, letter i weighing weights[i].
 
@@ -88,11 +103,11 @@ def _code_sums(codes: np.ndarray, weights: tuple[int, ...]) -> WeightSumSet:
     final 1, packed to bits.  It is built a piece at a time, the images of
     one substitution ``step`` of letters.  Images are cut at the mask's length,
     so neither a piece nor an image outgrows the mask, and no array holds a
-    value per letter.  Raises OverflowError when the total weight does not
-    fit in int64, and MemoryError when the mask does not fit in memory."""
+    value per letter.  This is the set of every stream but a fixed point, and
+    of the covering words.  Raises OverflowError when the total weight does
+    not fit in int64, and MemoryError when the mask does not fit in memory."""
     total = _weight(codes, weights)
-    if total >= 2**63:
-        raise OverflowError(f"total weight {total} of {codes.size} letters exceeds int64")
+    _check_total(total, codes.size)
     mask = np.empty(total + 1, dtype=np.uint8)
     # a letter heavier than the whole text does not occur in it
     substitution = Substitution([b"\1".ljust(min(w, total + 1), b"\0") for w in weights])
@@ -105,16 +120,210 @@ def _code_sums(codes: np.ndarray, weights: tuple[int, ...]) -> WeightSumSet:
     return WeightSumSet(weights, int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little"))
 
 
-def _head(sumset: WeightSumSet, codes: np.ndarray) -> WeightSumSet:
-    """Weight-sum set of the letter codes ``codes``, a prefix of the letters
-    that ``sumset`` was built from: its bits up to the weight of ``codes``."""
-    return WeightSumSet(sumset.weights, sumset.bits & ((2 << _weight(codes, sumset.weights)) - 1))
+def _power(bits: int, weight: int, k: int) -> int:
+    """S(u^k) from S(u) = ``bits`` and W(u) = ``weight``, by doubling: S(u^2m)
+    is S(u^m) | S(u^m) << mW, and one more u is S(u) << mW."""
+    if k == 0:
+        return 1
+    power, shift = bits, weight  # S(u^m) and W(u^m), from m = 1
+    for digit in bin(k)[3:]:
+        power |= power << shift
+        shift *= 2
+        if digit == "1":
+            power |= bits << shift
+            shift += weight
+    return power
+
+
+def _join(parts: list[tuple[int, int]]) -> int:
+    """S(u_1 u_2 ... u_m) from the pairs (W(u_i), S(u_i)) in order: neighbours
+    are joined by S(uv) = S(u) | S(v) << W(u) in a balanced tree, so each bit
+    is shifted about log2(m) times, not once per later factor."""
+    if not parts:
+        return 1
+    while len(parts) > 1:
+        joined = [(wu + wv, su | sv << wu) for (wu, su), (wv, sv) in zip(parts[::2], parts[1::2])]
+        parts = joined + parts[len(joined) * 2 :]
+    return parts[0][1]
+
+
+def _runs(codes) -> list[tuple[int, int]]:
+    """(code, count) for each run of equal letter codes, in order."""
+    return [(code, len(list(run))) for code, run in itertools.groupby(codes.tolist())]
+
+
+def _grows(images: list[list[tuple[int, int]]], mortal: set[int], codes: list[int]) -> bool:
+    """True iff |f^j(u)| grows without bound for the word u of letter codes
+    ``codes``, given the ``_runs`` of each letter's image and the mortal letters.
+
+    The non-mortal letters of f^j(c) are the walks of length j from c in
+    the graph of non-mortal letters, d -> e for each e in f(d), where every
+    vertex has an edge out.  The walks are unbounded iff c reaches a vertex
+    on a cycle with two edges out (one more walk each time around), and so
+    are the lengths, since a mortal letter's images die within |A| steps."""
+    edges = [[(d, k) for d, k in image if d not in mortal] for image in images]
+    reach = []  # letters reachable in one step or more
+    for c in range(len(images)):
+        seen, todo = set(), [c]
+        while todo:
+            for d, _ in edges[todo.pop()]:
+                if d not in seen:
+                    seen.add(d)
+                    todo.append(d)
+        reach.append(seen)
+    branching = {e for e in range(len(images)) if e in reach[e] and sum(k for _, k in edges[e]) >= 2}
+    return any(branching & ({c} | reach[c]) for c in set(codes))
+
+
+class _FixedPointSums:
+    """Weight sums of the prefixes of a ``MorphicStream``'s fixed point w,
+    composed from integers and per-letter sets; no letter of w is built.
+
+    With f(s) = s v, w = s v f(v) f^2(v) ..., and f^j(c) is the f^(j-1) of
+    the letters of f(c) laid end to end.  So the length L_j(c), the weight
+    W_j(c) and the weight-sum set T_j(c) of f^j(c) follow from level j - 1:
+    T_0(c) = 1 | 1 << w_c, and T_j(c) joins the T_(j-1) of f(c)'s letters,
+    a run of k equal letters by doubling (``_power``).  L and W are kept for
+    every letter up to the deepest level read; a set only where a factor
+    asks for it, since some letters grow much faster than the blocks f^j(v)
+    (x -> xyz, y -> yz, z -> z: x quadratically, the blocks linearly).
+
+    w[0:n] is s, the whole blocks f^j(v) and a prefix of the next, reached by
+    one descent: at each level the whole runs that fit, then the letter that
+    does not, one level down.  The blocks grow at least linearly when some
+    letter of v grows (``_grows``), so O(sqrt n) of them and as many levels
+    are read.  When none grows, w is eventually periodic: its
+    blocks repeat from some f^q(v), and ``_head`` (s and the blocks before)
+    and ``_period`` (the blocks of one repeat) are kept as letter codes.
+    """
+
+    def __init__(self, stream: MorphicStream, weights: tuple[int, ...]):
+        letters = stream.alphabet.letters
+        images = [encode(stream.morphism.images[c], letters) for c in letters]
+        self.weights = weights
+        self._images = [_runs(image) for image in images]
+        self._start = letters.index(stream.start)
+        tail = images[self._start][1:]
+        self._tail = _runs(tail)
+        self._lengths, self._level_weights = [[1] * len(letters)], [list(weights)]
+        self._sets: list[dict[int, int]] = [{}]  # T_j(c), by level and letter
+        self._period = None
+        mortal = {letters.index(c) for c in mortal_letters(stream.morphism)}
+        if not _grows(self._images, mortal, tail.tolist()):
+            image_bytes = [image.tobytes() for image in images]
+            blocks, seen, block = [], {}, tail.tobytes()
+            while block not in seen:
+                seen[block] = len(blocks)
+                blocks.append(block)
+                block = b"".join(image_bytes[c] for c in block)
+            self._head = np.frombuffer(image_bytes[self._start][:1] + b"".join(blocks[: seen[block]]), np.uint8)
+            self._period = np.frombuffer(b"".join(blocks[seen[block] :]), np.uint8)
+
+    def weight(self, n: int) -> int:
+        """The weight of w[0:n]."""
+        return sum(weight for weight, _ in self._plan(n))
+
+    def bits(self, n: int) -> int:
+        """The weight-sum set of w[0:n], as one int; raises OverflowError,
+        before any set is built, when its weight does not fit in int64."""
+        plan = self._plan(n)
+        _check_total(sum(weight for weight, _ in plan), n)
+        return _join([(weight, build()) for weight, build in plan])
+
+    def _plan(self, n: int) -> list[tuple[int, Callable[[], int]]]:
+        """(weight, set builder) of factors of w that make up w[0:n], in order."""
+        if self._period is not None:
+            head, period = self._head, self._period
+            if n <= head.size:
+                return [self._word(head[:n])]
+            k, rest = divmod(n - head.size, period.size)
+            weight = _weight(period, self.weights)
+            repeat = (k * weight, lambda: _power(_code_sums(period, self.weights).bits, weight, k))
+            return [self._word(head), repeat, self._word(period[:rest])]
+        plan = [self._item(0, self._start, 1)] if n else []
+        n, runs, j = max(n - 1, 0), self._tail, 0
+        while n:  # the whole blocks f^j(v)
+            lengths = self._level(j)
+            block = sum(k * lengths[d] for d, k in runs)
+            if block > n:
+                break
+            plan += [self._item(j, d, k) for d, k in runs if lengths[d]]
+            n, j = n - block, j + 1
+        while n:  # one descent into f^j of the runs
+            lengths = self._lengths[j]
+            for d, k in runs:
+                if not lengths[d]:
+                    continue
+                whole = min(k, n // lengths[d])
+                if whole:
+                    plan.append(self._item(j, d, whole))
+                    n -= whole * lengths[d]
+                if whole < k:
+                    break
+            runs, j = self._images[d], j - 1
+        return plan
+
+    def _word(self, codes: np.ndarray) -> tuple[int, Callable[[], int]]:
+        """(weight, set builder) of the letter codes ``codes``."""
+        return _weight(codes, self.weights), lambda: _code_sums(codes, self.weights).bits
+
+    def _item(self, j: int, c: int, k: int) -> tuple[int, Callable[[], int]]:
+        """(weight, set builder) of f^j(c)^k."""
+        weight = self._level_weights[j][c]
+        return k * weight, lambda: _power(self._set(j, c), weight, k)
+
+    def _level(self, j: int) -> list[int]:
+        """L_j of every letter, the tables extended to level j."""
+        while len(self._lengths) <= j:
+            lengths, weights = self._lengths[-1], self._level_weights[-1]
+            self._lengths.append([sum(k * lengths[d] for d, k in image) for image in self._images])
+            self._level_weights.append([sum(k * weights[d] for d, k in image) for image in self._images])
+            self._sets.append({})
+        return self._lengths[j]
+
+    def _set(self, j: int, c: int) -> int:
+        """T_j(c), composed bottom up from the highest level that holds every
+        set it needs; iterative, since blocks may be thousands of levels deep."""
+        if c in self._sets[j]:
+            return self._sets[j][c]
+        missing, need, level = [], {c}, j
+        while need := {d for d in need if d not in self._sets[level]}:
+            missing.append((level, need))
+            if level == 0:
+                break
+            need = {d for e in need for d, _ in self._images[e]}
+            level -= 1
+        for level, letters in reversed(missing):
+            sets = self._sets[level]
+            for e in letters:
+                if level == 0:
+                    sets[e] = 1 | 1 << self.weights[e]
+                else:
+                    below, weights = self._sets[level - 1], self._level_weights[level - 1]
+                    sets[e] = _join([(k * weights[d], _power(below[d], weights[d], k)) for d, k in self._images[e]])
+        return self._sets[j][c]
+
+
+def _head(sumset: WeightSumSet, stream: PrefixStream, n: int) -> WeightSumSet:
+    """Weight-sum set of the first ``n`` letters of ``stream``, cut from
+    ``sumset``, the set of a longer prefix: its bits up to the weight of
+    those letters, which a fixed point gives from its integers."""
+    if isinstance(stream, MorphicStream):
+        weight = _FixedPointSums(stream, sumset.weights).weight(n)
+    else:
+        weight = _weight(stream.codes(0, n), sumset.weights)
+    return WeightSumSet(sumset.weights, sumset.bits & ((2 << weight) - 1))
 
 
 def weight_sum_prefix(stream: PrefixStream, weights, n: int) -> WeightSumSet:
-    """Weight-sum set over the first ``n`` letters of the stream."""
+    """Weight-sum set over the first ``n`` letters of the stream: composed
+    for a fixed point (``_FixedPointSums``), from the letter codes otherwise."""
     weights = check_weights(stream.alphabet, weights)
-    return _code_sums(encode(stream.prefix(n), stream.alphabet.letters), weights)
+    if n < 0:
+        raise ValueError("length must be nonnegative")
+    if isinstance(stream, MorphicStream):
+        return WeightSumSet(weights, _FixedPointSums(stream, weights).bits(n))
+    return _code_sums(stream.codes(0, n), weights)
 
 
 def covering_sums(stream: PrefixStream, weights, k: int) -> list[WeightSumSet]:
@@ -352,7 +561,7 @@ def graded_nilpotence_scan(stream: PrefixStream, weights, d_max: int, horizons) 
     if len(settled) < len(first) and len(horizons) > 1:
         # the sums of a prefix are the head of the sums of any longer prefix
         sums = weight_sum_prefix(stream, weights, horizons[-1])
-        later = [*(_head(sums, stream.codes(0, h)) for h in horizons[1:-1]), sums]
+        later = [*(_head(sums, stream, h) for h in horizons[1:-1]), sums]
     table: dict[int, tuple[int, ...]] = {}
     growing = {}
     for d, m in first.items():

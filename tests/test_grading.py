@@ -28,6 +28,7 @@ from wordalg.words import (
     PeriodicStream,
     encode,
     is_primitive,
+    is_prolongable,
     make_morphism,
     parse_morphism_spec,
     word_weight,
@@ -153,19 +154,32 @@ ORACLE_STREAMS = {
 }
 
 
+def _image_lengths(stream, limit):
+    """|f^j(s)| for the stream's fixed point on s and j = 0, 1, ..., 15, up
+    to the first past ``limit``."""
+    images, word, lengths = stream.morphism.images, stream.start, []
+    while len(lengths) < 16 and (not lengths or lengths[-1] <= limit):
+        lengths.append(len(word))
+        word = "".join(images[c] for c in word)[: limit + 2]
+    return lengths
+
+
 @st.composite
 def weighted_prefixes(draw):
     """A stream of ``ORACLE_STREAMS``, weights 1-5 or a far-apart pair (1
-    and 64), and a length of 0, 1 or one beside the end of a piece of the
-    mask build, which takes PIECE_SIZE bytes of letter images."""
+    and 64), and a length of 0, 1, one beside an iterate |f^j(s)| (where the
+    composed sets end a whole block) or one beside the end of a piece of the
+    mask that the scan's covering words take, PIECE_SIZE bytes of images."""
     name = draw(st.sampled_from(sorted(ORACLE_STREAMS)))
-    size = ORACLE_STREAMS[name]().alphabet.size
+    stream = ORACLE_STREAMS[name]()
+    size = stream.alphabet.size
     weights = draw(st.one_of(
         st.tuples(*[st.integers(1, 5)] * size),
         st.permutations([1, 64] + [1] * (size - 2)).map(tuple),
     ))
     step = PIECE_SIZE // max(weights)
-    n = draw(st.sampled_from([0, 1, *(k * step + delta for k in (1, 2) for delta in (-1, 0, 1))]))
+    ends = [*_image_lengths(stream, 3 * step), *(k * step for k in (1, 2))]
+    n = draw(st.sampled_from([0, 1, *(max(end + delta, 0) for end in ends for delta in (-1, 0, 1))]))
     return name, weights, n
 
 
@@ -205,8 +219,8 @@ def test_bits_holds_exactly_the_weight_sums(case):
     # every set the scan cuts from a longer one is the set of its own horizon
     cuts = []
 
-    def recording_head(sums, codes, head=grading._head):
-        cuts.append((codes.size, head(sums, codes)))
+    def recording_head(sums, stream, h, head=grading._head):
+        cuts.append((h, head(sums, stream, h)))
         return cuts[-1][1]
 
     horizons = (n // 3, n // 2, n)
@@ -216,6 +230,69 @@ def test_bits_holds_exactly_the_weight_sums(case):
     assert {h for h, _ in cuts} <= set(horizons)
     for h, cut in cuts:
         assert cut.bits == weight_sum_prefix(stream, weights, h).bits
+
+
+@st.composite
+def fixed_point_prefixes(draw):
+    """A morphism prolongable on x, its weights and a prefix length.  The
+    morphisms are drawn images over 2-4 letters (primitive or not), the
+    non-primitive x -> xyz, y -> yz, z -> z and x -> xy, y -> y, images
+    with a mortal letter m -> (empty), and the long image x -> x y^k; the
+    length is 0, 1, one beside an iterate |f^j(x)|, or any up to 3000."""
+    family = draw(st.sampled_from(["drawn", "x -> xyz", "x -> xy", "mortal", "long"]))
+    if family == "drawn":
+        letters = "xyzw"[: draw(st.integers(2, 4))]
+        images = {c: draw(st.text(alphabet=letters, max_size=4)) for c in letters}
+        images["x"] = "x" + draw(st.text(alphabet=letters, min_size=1, max_size=4))
+    elif family == "x -> xyz":
+        letters, images = "xyz", {"x": "xyz", "y": "yz", "z": "z"}
+    elif family == "x -> xy":
+        letters, images = "xy", {"x": "xy", "y": "y"}
+    elif family == "mortal":
+        letters = "xym"
+        images = {"x": "x" + draw(st.text(alphabet=letters, min_size=1, max_size=4)),
+                  "y": draw(st.text(alphabet=letters, max_size=4)), "m": ""}
+    else:
+        k = draw(st.integers(1, 400))
+        letters, images = "xy", {"x": "x" + "y" * k, "y": draw(st.sampled_from(["y", "yx", "y" * (k + 1) + "x"]))}
+    m = make_morphism(letters, **images)
+    assume(is_prolongable(m, "x"))
+    weights = tuple(draw(st.one_of(st.integers(1, 5), st.integers(1, 1000))) for _ in letters)
+    ends = _image_lengths(MorphicStream(m, "x"), 3000)
+    n = draw(st.one_of(
+        st.sampled_from([0, 1, *(max(end + delta, 0) for end in ends for delta in (-1, 0, 1))]),
+        st.integers(0, 3000),
+    ))
+    return m, weights, n
+
+
+@given(case=fixed_point_prefixes())
+@example(case=(make_morphism("xyz", x="xyz", y="yz", z="z"), (1, 2, 3), 1000))
+@example(case=(make_morphism("xy", x="xy", y="y"), (2, 1), 3000))
+@example(case=(make_morphism("xy", x="x" + "y" * 300, y="y"), (1, 2), 2999))  # 9 whole periods y^300
+@example(case=(make_morphism("xy", x="x" + "y" * 300, y="y" * 301 + "x"), (1, 2), 1000))
+@example(case=(make_morphism("xym", x="xym", y="ymx", m=""), (3, 1, 7), 2048))
+@example(case=(make_morphism("xym", x="xmy", y="mym", m=""), (3, 1, 7), 100))  # y -> y up to mortal letters
+# the blocks ya, ybb, y, y, ... repeat only from the third
+@example(case=(make_morphism("xyab", x="xya", y="y", a="bb", b=""), (1, 2, 3, 4), 20))
+@settings(max_examples=150, deadline=None)
+def test_composed_sums_match_the_code_sums_and_running_sums(case):
+    m, weights, n = case
+    stream = MorphicStream(m, "x")
+    composed = weight_sum_prefix(stream, weights, n)
+    assert stream._length == len(m.images["x"])  # the sets are composed from no letter
+    text = stream.prefix(n)
+    assert composed.bits == grading._code_sums(stream.codes(0, n), weights).bits
+    assert composed.bits == _running_sum_bits(text, dict(zip(m.alphabet.letters, weights)))
+
+
+@pytest.mark.parametrize("stream", [MorphicStream(make_morphism("xy", x="xy", y="yx"), "x"), PeriodicStream("xy")],
+                         ids=["composed", "mask"])
+def test_a_total_weight_past_int64_is_refused_before_any_set(stream):
+    # a set with a bit at 2^62 does not fit in memory, so a set built before
+    # the check would raise MemoryError, not OverflowError
+    with pytest.raises(OverflowError, match="total weight 9223372036854775808 of 2 letters exceeds int64"):
+        weight_sum_prefix(stream, (2**62, 2**62), 2)
 
 
 @pytest.mark.parametrize("name", ["thue_morse.morph", "sub_xyz.morph"])
@@ -518,13 +595,18 @@ def test_scan_builds_only_the_horizons_it_reads(name, monkeypatch):
         patch.setattr(grading, "weight_sum_prefix", recording_sums)
         report = graded_nilpotence_scan(stream, weights, 12, horizons)
     assert built == [horizons[0], horizons[-1]][:reads]
-    if reads == 1:
-        assert stream._length < horizons[-1] // 10
-    else:
-        assert stream._length >= horizons[-1]
+    # the sets are composed from the morphism: no horizon builds a letter
+    assert stream._length == len(stream.morphism.images[stream.start])
     fresh = ORACLE_STREAMS[name]()
     for d in range(1, 13):
         assert report.table[d] == tuple(longest_ap(weight_sum_prefix(fresh, weights, h), d) for h in horizons)
+
+
+@pytest.mark.parametrize("name", BUNDLED_SPECS)
+def test_scan_builds_no_letter_of_a_bundled_fixed_point(name):
+    stream, weights = _bundled_stream(name)
+    graded_nilpotence_scan(stream, weights, 24, (1000, 10_000, 100_000))
+    assert stream._length == len(stream.morphism.images[stream.start])
 
 
 def test_covering_sums_reject_what_covering_words_rejects(tilde_stream):

@@ -113,6 +113,18 @@ CHECKS = (
     # (124 MB); exit 1 is the flagged verdict
     Check("scan-xyz-1.6e7", ("scan", "--spec", SPEC, "--dmax", "24", "--horizons", "100000,1000000,16000000"), 1,
           FLAGGED, seconds=30, mb=110, spec="x y z\nx -> xyz\ny -> yz\nz -> z\nweights: 1 2 3\n"),
+    # the fixed point x y y y ... is eventually periodic, the only run of that
+    # branch of the composed sums at scale: the head x and the period y are
+    # letter codes, and the period's set is repeated by doubling; the sums are
+    # 0 and the odd numbers, so every even degree grows, d2's AP is all n odd
+    # sums and d24's is 1 + (2n - 2) // 24 of them; about 0.7-1.0 s and 49 MB, so
+    # the 74 MB bound (about 1.5x) catches a return to the letters and a byte
+    # mask (about 90 MB), and the 30 s bound only a lost kernel; exit 1 is
+    # the flagged verdict
+    Check("scan-periodic-1.6e7", ("scan", "--spec", SPEC, "--dmax", "24", "--horizons", "100000,1000000,16000000"), 1,
+          ("flagged: 2,4,6,8,10,12,14,16,18,20,22,24", "ap_lengths_d2: 100000,1000000,16000000",
+           "ap_lengths_d3: 2,2,2", "ap_lengths_d24: 8334,83334,1333334"),
+          seconds=30, mb=74, spec="x y\nx -> xy\ny -> y\nweights: 1 2\n"),
     # the Thue-Morse factor counts up to length 32,768, the only run of the
     # covering codes and the suffix automaton at that length: the 4 covering
     # words phi^16(ac), 262,144 letters, in 344,067 automaton states;

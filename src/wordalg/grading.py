@@ -20,7 +20,8 @@ a fixed point are composed, not read: with f(s) = s v, the word is
 s v f(v) f^2(v) ... (Allouche & Shallit, *Automatic Sequences*, ch. 7), each
 f^j(c) is f^(j-1) of the letters of f(c) laid end to end, and the sets,
 lengths and weights of level j follow from those of level j - 1
-(``_FixedPointSums``), with no letter built.  Every other stream's set, and
+(``_FixedPointSums``; an eventually periodic w's blocks by the stream's own
+``Substitution``), with no letter built.  Every other stream's set, and
 each covering word's, is packed from a mask of one byte per unit of weight,
 laid from the letter codes a piece at a time (``_code_sums``).
 
@@ -73,10 +74,9 @@ GROWTH_FLOOR = 20
 
 @dataclass(frozen=True, eq=False)
 class WeightSumSet:
-    """Partial sums s_0 = 0, s_i = s_{i-1} + weight(letter_i) along a prefix,
-    held only as one int: bit v is set iff v is a weight sum (bit 0 always is)."""
+    """Partial sums s_0 = 0, s_i = s_{i-1} + weight(letter_i) along a prefix, held
+    as one int, without the weights: bit v is set iff v is a weight sum (bit 0 always is)."""
 
-    weights: tuple[int, ...]
     bits: int
 
     @property
@@ -117,7 +117,7 @@ def _code_sums(codes: np.ndarray, weights: tuple[int, ...]) -> WeightSumSet:
         mask[end : end + image.size] = image
         end += image.size
     mask[end] = 1
-    return WeightSumSet(weights, int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little"))
+    return WeightSumSet(int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little"))
 
 
 def _power(bits: int, weight: int, k: int) -> int:
@@ -192,9 +192,9 @@ class _FixedPointSums:
     one descent: at each level the whole runs that fit, then the letter that
     does not, one level down.  The blocks grow at least linearly when some
     letter of v grows (``_grows``), so O(sqrt n) of them and as many levels
-    are read.  When none grows, w is eventually periodic: its
-    blocks repeat from some f^q(v), and ``_head`` (s and the blocks before)
-    and ``_period`` (the blocks of one repeat) are kept as letter codes.
+    are read.  When none grows, w is eventually periodic: its blocks, each
+    the stream's ``Substitution`` of the last, repeat from some f^q(v), and
+    ``_head`` (s and the blocks before) and ``_period`` (one repeat) are codes.
     """
 
     def __init__(self, stream: MorphicStream, weights: tuple[int, ...]):
@@ -210,14 +210,13 @@ class _FixedPointSums:
         self._period = None
         mortal = {letters.index(c) for c in mortal_letters(stream.morphism)}
         if not _grows(self._images, mortal, tail.tolist()):
-            image_bytes = [image.tobytes() for image in images]
-            blocks, seen, block = [], {}, tail.tobytes()
-            while block not in seen:
-                seen[block] = len(blocks)
+            blocks, seen, block = [], {}, tail
+            while (key := block.tobytes()) not in seen:
+                seen[key] = len(blocks)
                 blocks.append(block)
-                block = b"".join(image_bytes[c] for c in block)
-            self._head = np.frombuffer(image_bytes[self._start][:1] + b"".join(blocks[: seen[block]]), np.uint8)
-            self._period = np.frombuffer(b"".join(blocks[seen[block] :]), np.uint8)
+                block = stream._substitution(block)
+            self._head = np.concatenate([images[self._start][:1], *blocks[: seen[key]]])
+            self._period = np.concatenate(blocks[seen[key] :])
 
     def weight(self, n: int) -> int:
         """The weight of w[0:n]."""
@@ -304,15 +303,15 @@ class _FixedPointSums:
         return self._sets[j][c]
 
 
-def _head(sumset: WeightSumSet, stream: PrefixStream, n: int) -> WeightSumSet:
-    """Weight-sum set of the first ``n`` letters of ``stream``, cut from
-    ``sumset``, the set of a longer prefix: its bits up to the weight of
-    those letters, which a fixed point gives from its integers."""
+def _head(sumset: WeightSumSet, stream: PrefixStream, weights: tuple[int, ...], n: int) -> WeightSumSet:
+    """Weight-sum set of the first ``n`` letters of ``stream``, cut from ``sumset``, a longer
+    prefix's, at their weight under the checked ``weights`` (a fixed point's from its integers);
+    composing each middle horizon instead measured about 30% slower on a 4e6 Thue-Morse scan."""
     if isinstance(stream, MorphicStream):
-        weight = _FixedPointSums(stream, sumset.weights).weight(n)
+        weight = _FixedPointSums(stream, weights).weight(n)
     else:
-        weight = _weight(stream.codes(0, n), sumset.weights)
-    return WeightSumSet(sumset.weights, sumset.bits & ((2 << weight) - 1))
+        weight = _weight(stream.codes(0, n), weights)
+    return WeightSumSet(sumset.bits & ((2 << weight) - 1))
 
 
 def weight_sum_prefix(stream: PrefixStream, weights, n: int) -> WeightSumSet:
@@ -322,7 +321,7 @@ def weight_sum_prefix(stream: PrefixStream, weights, n: int) -> WeightSumSet:
     if n < 0:
         raise ValueError("length must be nonnegative")
     if isinstance(stream, MorphicStream):
-        return WeightSumSet(weights, _FixedPointSums(stream, weights).bits(n))
+        return WeightSumSet(_FixedPointSums(stream, weights).bits(n))
     return _code_sums(stream.codes(0, n), weights)
 
 
@@ -554,14 +553,15 @@ def graded_nilpotence_scan(stream: PrefixStream, weights, d_max: int, horizons) 
     horizons = check_horizons(horizons)
     if d_max < 1:
         raise ValueError("d_max must be positive")
+    weights = check_weights(stream.alphabet, weights)
     sums = weight_sum_prefix(stream, weights, horizons[0])
     first = {d: longest_ap(sums, d) for d in range(1, d_max + 1)}
-    settled = _supremum_degrees(stream, sums.weights, first, horizons[0])
+    settled = _supremum_degrees(stream, weights, first, horizons[0])
     later: list[WeightSumSet] = []  # the larger horizons, read only for an open degree
     if len(settled) < len(first) and len(horizons) > 1:
         # the sums of a prefix are the head of the sums of any longer prefix
         sums = weight_sum_prefix(stream, weights, horizons[-1])
-        later = [*(_head(sums, stream, h) for h in horizons[1:-1]), sums]
+        later = [*(_head(sums, stream, weights, h) for h in horizons[1:-1]), sums]
     table: dict[int, tuple[int, ...]] = {}
     growing = {}
     for d, m in first.items():
@@ -573,5 +573,5 @@ def graded_nilpotence_scan(stream: PrefixStream, weights, d_max: int, horizons) 
         if lengths[-1] > GROWTH_RATIO * lengths[0] and lengths[-1] > GROWTH_FLOOR:
             growing[d] = lengths[-1]
     # a growing length may have reached its supremum past the smallest horizon
-    bounded = _supremum_degrees(stream, sums.weights, growing, horizons[-1])
-    return ScanReport(tuple(weights), horizons, table, tuple(d for d in growing if d not in bounded))
+    bounded = _supremum_degrees(stream, weights, growing, horizons[-1])
+    return ScanReport(weights, horizons, table, tuple(d for d in growing if d not in bounded))

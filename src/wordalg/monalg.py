@@ -104,7 +104,7 @@ class FreeView(AlgebraView):
 
 def _reduced(view: AlgebraView, terms: dict[str, int | Fraction]) -> NcPolynomial:
     """The polynomial of ``terms`` less its zero coefficients and zero monomials,
-    with each integral Fraction turned back into an int.
+    with each integral coefficient (a bool or a Fraction too) as an int.
 
     ``terms`` must already hold ints and Fractions on the view's letters: only
     the NcPolynomial constructor takes outside input and checks it."""
@@ -130,12 +130,11 @@ class NcPolynomial:
         for c in coeffs.values():
             if not isinstance(c, (int, Fraction)):
                 raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__}")
-        terms = {word: Fraction(c) for word, c in coeffs.items()}
-        for word, c in terms.items():
+        for word, c in coeffs.items():
             if c:  # a zero term is dropped, whatever its letters
                 view.check_word(word)
         self.view = view
-        self.coeffs = _reduced(view, terms).coeffs
+        self.coeffs = _reduced(view, coeffs).coeffs
 
     # -- constructors
 

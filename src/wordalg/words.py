@@ -200,12 +200,13 @@ class MorphismReport:
 
 def analyze_morphism(m: Morphism) -> MorphismReport:
     """Mortality, prolongability, primitivity, incidence matrix and its determinant."""
+    matrix = incidence_matrix(m)
     return MorphismReport(
         mortal=mortal_letters(m),
         prolongable=tuple(c for c in m.alphabet.letters if is_prolongable(m, c)),
         primitive=is_primitive(m),
-        matrix=incidence_matrix(m),
-        det=exact_det(incidence_matrix(m)),
+        matrix=matrix,
+        det=exact_det(matrix),
     )
 
 
@@ -345,19 +346,18 @@ class MorphicStream(PrefixStream):
 
 
 class PeriodicStream(PrefixStream):
-    """The periodic word ``period`` repeated forever; stores only the period."""
+    """The periodic word ``period`` repeated forever; stores only its letter codes."""
 
     def __init__(self, period: str):
         if not period:
             raise ValueError("period must be nonempty")
         super().__init__(Alphabet(tuple(dict.fromkeys(period))))
-        self.period = period
         self._period_codes = encode(period, self.alphabet.letters)
 
     def codes(self, start: int, stop: int) -> np.ndarray:
         """The codes of the letters at 0-based positions [start, stop), a new array."""
         _check_range(start, stop)
-        n, p = max(stop - start, 0), len(self.period)
+        n, p = max(stop - start, 0), self._period_codes.size
         # np.tile, not np.resize, which concatenates one array per copy
         return np.tile(np.roll(self._period_codes, -(start % p)), -(-n // p))[:n]
 
@@ -561,7 +561,7 @@ def covering_codes(stream: PrefixStream, k: int) -> list[np.ndarray]:
     if not has_covering_words(stream):
         raise ValueError("exact factors need a periodic word or the fixed point of a primitive morphism")
     if isinstance(stream, PeriodicStream):
-        return [np.tile(stream._period_codes, -(-k // len(stream.period)) + 1)]
+        return [np.tile(stream._period_codes, -(-k // stream._period_codes.size) + 1)]
     f, images = stream._substitution, stream.morphism.images
     pairs, new = set(), {tuple(stream.codes(0, 2).tolist())}
     while new:

@@ -49,7 +49,7 @@ def _bundled_stream(name):
 
 
 def _sumset_from_values(values):
-    return WeightSumSet((1,), sum(1 << v for v in set(values)))
+    return WeightSumSet(sum(1 << v for v in set(values)))
 
 
 # -- weight sums ---------------------------------------------------------------
@@ -219,8 +219,8 @@ def test_bits_holds_exactly_the_weight_sums(case):
     # every set the scan cuts from a longer one is the set of its own horizon
     cuts = []
 
-    def recording_head(sums, stream, h, head=grading._head):
-        cuts.append((h, head(sums, stream, h)))
+    def recording_head(sums, stream, weights, h, head=grading._head):
+        cuts.append((h, head(sums, stream, weights, h)))
         return cuts[-1][1]
 
     horizons = (n // 3, n // 2, n)
@@ -275,6 +275,8 @@ def fixed_point_prefixes(draw):
 @example(case=(make_morphism("xym", x="xmy", y="mym", m=""), (3, 1, 7), 100))  # y -> y up to mortal letters
 # the blocks ya, ybb, y, y, ... repeat only from the third
 @example(case=(make_morphism("xyab", x="xya", y="y", a="bb", b=""), (1, 2, 3, 4), 20))
+# the period b c spans two blocks, after the one-block pre-period a
+@example(case=(make_morphism("xabc", x="xa", a="b", b="c", c="b"), (1, 2, 3, 5), 20))
 @settings(max_examples=150, deadline=None)
 def test_composed_sums_match_the_code_sums_and_running_sums(case):
     m, weights, n = case

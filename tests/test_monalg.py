@@ -179,8 +179,8 @@ def test_canonical_form_rejects_floats_and_integral_fractions():
 
 
 def test_constructor_keeps_coefficients_canonical(xy_view):
-    p = NcPolynomial(xy_view, {"x": Fraction(4, 2), "y": Fraction(1, 2), "xy": Fraction(2, 4), "yx": True})
-    assert p.coeffs == {"x": 2, "y": Fraction(1, 2), "xy": Fraction(1, 2), "yx": 1}
+    p = NcPolynomial(xy_view, {"x": Fraction(4, 2), "y": Fraction(1, 2), "xy": Fraction(2, 4), "yx": True, "yy": 3})
+    assert p.coeffs == {"x": 2, "y": Fraction(1, 2), "xy": Fraction(1, 2), "yx": 1, "yy": 3}
     assert all(map(_is_canonical, p.coeffs.values()))
 
 
